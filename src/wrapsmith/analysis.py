@@ -99,21 +99,6 @@ class CostModelParams:
     t_direct: float = 0.0
     d_max: int = 5
 
-    @classmethod
-    def from_direct_time(
-        cls, t_direct: float, n_seeds: int = 3, d_max: int = 5
-    ) -> "CostModelParams":
-        """Rough model: generation costs ``d_max`` direct extractions per
-        seed, synthesis one, and rule execution is negligible."""
-        return cls(
-            n_seeds=n_seeds,
-            t_generate=d_max * t_direct,
-            t_synthesize=t_direct,
-            t_execute=0.0,
-            t_direct=t_direct,
-            d_max=d_max,
-        )
-
 
 def breakeven_pages(params: CostModelParams) -> int:
     """Smallest page count where rule generation plus rule execution is no

@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import astuple
 from pathlib import Path
 from typing import Optional
 
@@ -55,6 +56,20 @@ def _load_meta(directory: Path) -> dict:
 
 def _case_files(directory: Path) -> list[Path]:
     return sorted(p for p in directory.glob("*.json") if not p.name.startswith("_"))
+
+
+def _load_trace(path: Path) -> GenerationTrace:
+    """Read a trace file; a missing or ill-typed field is a data error."""
+    record = json.loads(path.read_text(encoding="utf-8"))
+    try:
+        trace = GenerationTrace.from_record(record)
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise DatasetError(f"malformed trace {path}: {type(exc).__name__}: {exc}") from exc
+    texts = [trace.page_id, trace.html_path, *(trace.sequence.steps if trace.sequence else ())]
+    sizes = [n for step in trace.steps for n in astuple(step.metrics_before)]
+    if not all(isinstance(t, str) for t in texts) or not all(type(n) is int for n in sizes):
+        raise DatasetError(f"malformed trace {path}: ill-typed field")
+    return trace
 
 
 def _load_page(corpus_root: Path, html_path: str, page_id: str) -> DocumentTree:
@@ -313,10 +328,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    traces = [
-        GenerationTrace.from_record(json.loads(p.read_text(encoding="utf-8")))
-        for p in sorted(traces_dir.glob("*.json"))
-    ]
+    traces = [_load_trace(p) for p in sorted(traces_dir.glob("*.json"))]
     histogram = analysis.sequence_length_histogram(traces)
     (out / "lengths.tsv").write_text(histogram.to_tsv(args.dmax) + "\n", encoding="utf-8")
 
@@ -375,9 +387,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
-    trace = GenerationTrace.from_record(
-        json.loads(Path(args.trace).read_text(encoding="utf-8"))
-    )
+    trace = _load_trace(Path(args.trace))
     if not trace.html_path:
         raise DatasetError("trace does not reference its page file")
     page = preprocess(parse_html(Path(trace.html_path).read_text(encoding="utf-8"), trace.page_id))
@@ -501,6 +511,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         FileNotFoundError,
         json.JSONDecodeError,
         ValueError,
+        RecursionError,  # a page nested deeper than the tree walkers can follow
     ) as exc:
         _error_record(type(exc).__name__, str(exc))
         return 3

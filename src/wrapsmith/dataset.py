@@ -300,10 +300,6 @@ def dump_json(record, path: str | Path) -> None:
     )
 
 
-def save_case(case: WebpageCase, path: str | Path) -> None:
-    dump_json(case.to_record(), path)
-
-
 def load_case(path: str | Path) -> WebpageCase:
     try:
         record = json.loads(Path(path).read_text(encoding="utf-8"))

@@ -5,8 +5,8 @@ tags, stray end tags and character references are all absorbed. The result
 is an immutable tree that downstream stages can share freely across
 threads. Cleanup strips ``script``/``style`` subtrees, comments, and every
 attribute except ``class``. Size metrics (token count, tree height) are
-taken over a canonical serialization in which each tag is padded into its
-own whitespace-delimited token, which keeps both measures monotone under
+taken over the serialization's parts, in which each tag is its own
+whitespace-delimited token, which keeps both measures monotone under
 pruning.
 """
 
@@ -147,8 +147,9 @@ Node = Union[ElementNode, TextNode, CommentNode]
 
 @dataclass(frozen=True)
 class TreeMetrics:
-    """Size of a tree: whitespace tokens of its canonical serialization and
-    element-only height (root alone counts as height 1)."""
+    """Size of a tree: whitespace tokens of its serialization, each tag
+    counted as its own token, and element-only height (root alone counts as
+    height 1)."""
 
     token_count: int
     height: int
@@ -253,29 +254,6 @@ def _serialize(node: Node, parts: list[str]) -> None:
         parts.append(f"</{node.tag}>")
 
 
-def _canonical_parts(node: Node, parts: list[str]) -> None:
-    # Same shape as _serialize but each tag stays its own part, so token
-    # counting can treat tags as whitespace-separated units.
-    if isinstance(node, TextNode):
-        parts.append(_escape_text(node.text))
-        return
-    if isinstance(node, CommentNode):
-        parts.append(f"<!--{node.text}-->")
-        return
-    parts.append(_open_tag(node))
-    for child in node.children:
-        _canonical_parts(child, parts)
-    if node.children or node.tag not in VOID_TAGS:
-        parts.append(f"</{node.tag}>")
-
-
-def canonical_serialization(tree: DocumentTree) -> str:
-    """Serialization with every tag padded into its own token."""
-    parts: list[str] = []
-    _canonical_parts(tree.root, parts)
-    return " ".join(parts)
-
-
 def _height(el: ElementNode) -> int:
     best = 0
     for child in el.element_children:
@@ -284,9 +262,9 @@ def _height(el: ElementNode) -> int:
 
 
 def measure(tree: DocumentTree) -> TreeMetrics:
-    """Token count over the canonical serialization plus element height."""
+    """Token count over the serialization's parts plus element height."""
     parts: list[str] = []
-    _canonical_parts(tree.root, parts)
+    _serialize(tree.root, parts)
     tokens = sum(len(part.split()) for part in parts)
     return TreeMetrics(token_count=tokens, height=_height(tree.root))
 

@@ -44,15 +44,21 @@ class Label(str, Enum):
 LABEL_ORDER = (Label.CORRECT, Label.PREC, Label.RECA, Label.UNEX, Label.OVER, Label.ELSE)
 
 
+def _score_sets(
+    e: set[str], g: set[str]
+) -> tuple[int, Optional[float], Optional[float]]:
+    """Hits, precision and recall of two already normalized value sets."""
+    hit = len(e & g)
+    return hit, (hit / len(e) if e else None), (hit / len(g) if g else None)
+
+
 def score_page(
     extracted: Iterable[str], gold: Iterable[str]
 ) -> tuple[Optional[float], Optional[float]]:
     """Set precision/recall for one page; ``None`` marks undefined sides."""
-    e = set(normalize_values(extracted))
-    g = set(normalize_values(gold))
-    hit = len(e & g)
-    precision = hit / len(e) if e else None
-    recall = hit / len(g) if g else None
+    _, precision, recall = _score_sets(
+        set(normalize_values(extracted)), set(normalize_values(gold))
+    )
     return precision, recall
 
 
@@ -123,11 +129,10 @@ def classify_case(
         page_id = pair[2] if len(pair) > 2 else f"page-{index}"
         e = set(normalize_values(extracted))
         g = set(normalize_values(gold))
-        hit = len(e & g)
+        hit, precision, recall = _score_sets(e, g)
         hits_total += hit
         extracted_total += len(e)
         gold_total += len(g)
-        precision, recall = score_page(extracted, gold)
         scores.append(PageScore(page_id, precision, recall, hit, len(e), len(g)))
 
     if gold_total == 0 and extracted_total > 0:

@@ -24,7 +24,7 @@ from pathlib import Path
 from .dataset import CorpusManifest, build_cases, dump_json
 from .dom import parse_html, preprocess
 from .gateway import BackendConfig, BackendKind, LlmGateway, ScriptTable, prompt_fingerprint
-from .generation import StrategyConfig, generate_progressive
+from .generation import StrategyConfig, generate
 
 EASY_SITES = frozenset({0, 5})
 
@@ -176,7 +176,7 @@ def build_synthetic_corpus(
                 (root / record.html_path).read_text(encoding="utf-8"),
                 record.page_id,
             ))
-            sequence, trace = generate_progressive(page, case.instruction, gateway, cfg)
+            sequence, trace = generate(page, case.instruction, gateway, cfg)
             if sequence is None:
                 raise AssertionError(
                     f"fixture staging failed for {case.case_id}/{record.page_id}: "

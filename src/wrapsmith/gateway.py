@@ -424,13 +424,12 @@ def judge_consistent(
     *,
     mode: JudgeMode = JudgeMode.DETERMINISTIC,
     gateway: Optional[LlmGateway] = None,
-    strict: bool = False,
 ) -> JudgeResult:
     """Is the extracted value set consistent with the expected one?
 
-    Deterministic mode compares normalized value sets (or raw lists with
-    ``strict``); separator noise is forgiven, exactly the leniency the
-    judgement prompt asks for. LLM mode delegates to that prompt.
+    Deterministic mode compares normalized value sets; separator noise is
+    forgiven, exactly the leniency the judgement prompt asks for. LLM mode
+    delegates to that prompt.
     """
     extracted = list(extracted)
     expected = list(expected)
@@ -442,8 +441,6 @@ def judge_consistent(
             [json.dumps(extracted, ensure_ascii=False), json.dumps(expected, ensure_ascii=False)],
         )
         return JudgeResult(_yes(exchange), exchange)
-    if strict:
-        return JudgeResult(extracted == expected)
     return JudgeResult(set(normalize_values(extracted)) == set(normalize_values(expected)))
 
 

@@ -1,16 +1,20 @@
-"""Strategies that turn one seed page plus an instruction into a rule.
+"""One loop that turns a seed page plus an instruction into a rule.
 
-Three strategies share a signature and a trace format:
+Every strategy runs the same loop: ask the model for a value and an XPath,
+evaluate the XPath on the current tree and judge its extraction against the
+claimed value. A consistent answer is accepted. The strategies differ only in
+what a mismatch does:
 
-* ``progressive`` - the top-down/step-back loop. Each iteration asks the
-  model for a value and an XPath on the current (possibly pruned) tree and
-  checks the XPath's own extraction against the claimed value. On mismatch
-  it climbs from the proposed node by appending ``/..`` until the subtree
-  demonstrably contains the value, records the climb as a pruning step, and
-  continues on the smaller tree.
-* ``cot`` - one shot: the first answer's XPath becomes the whole rule.
-* ``reflexion`` - retries with an accumulated history of failed attempts,
-  but never prunes: every attempt sees the full page.
+* ``progressive`` - the top-down/step-back policy. It climbs from the
+  proposed node by appending ``/..`` until the subtree demonstrably contains
+  the value, records the climb as a pruning step, and continues on the
+  smaller tree.
+* ``reflexion`` - adds the failed attempt to a history and asks again with
+  that history, always on the full page; it never prunes. In LLM-judge mode
+  the model may answer that its previous attempt was consistent, which
+  accepts that attempt.
+* ``cot`` - one shot: the first answer is accepted without judging, so its
+  XPath becomes the whole rule.
 
 A blank XPath from the model is the reserved "attribute absent" answer and
 yields the empty sequence. Exhausting the iteration budget yields no
@@ -51,7 +55,6 @@ class StrategyConfig:
     strategy: Strategy = Strategy.PROGRESSIVE
     d_max: int = 5
     judge_mode: JudgeMode = JudgeMode.DETERMINISTIC
-    strict_equality: bool = False
 
     def __post_init__(self) -> None:
         if self.d_max < 1:
@@ -170,7 +173,6 @@ def _judge(
         value,
         mode=cfg.judge_mode,
         gateway=gateway if cfg.judge_mode is JudgeMode.LLM else None,
-        strict=cfg.strict_equality,
     )
 
 
@@ -180,80 +182,79 @@ def generate(
     gateway: LlmGateway,
     cfg: StrategyConfig,
 ) -> tuple[Optional[ActionSequence], GenerationTrace]:
-    """Dispatch to the configured strategy."""
-    if cfg.strategy is Strategy.PROGRESSIVE:
-        return generate_progressive(page, instruction, gateway, cfg)
-    if cfg.strategy is Strategy.COT:
-        return generate_cot(page, instruction, gateway, cfg)
-    return generate_reflexion(page, instruction, gateway, cfg)
-
-
-def generate_progressive(
-    page: DocumentTree,
-    instruction: str,
-    gateway: LlmGateway,
-    cfg: StrategyConfig,
-) -> tuple[Optional[ActionSequence], GenerationTrace]:
-    trace = GenerationTrace(page.source_id, instruction, Strategy.PROGRESSIVE.value)
-    provenance = Provenance(page.source_id, Strategy.PROGRESSIVE.value)
+    """Run the configured strategy's loop on one seed page."""
+    strategy = cfg.strategy
+    trace = GenerationTrace(page.source_id, instruction, strategy.value)
+    provenance = Provenance(page.source_id, strategy.value)
     steps: list[StepRecord] = []
     pruning: list[str] = []
+    history: list[tuple[str, str, tuple[str, ...]]] = []
     tree = page
+    view: Optional[tuple[TreeMetrics, str]] = None
 
     for iteration in range(cfg.d_max):
-        metrics = measure(tree)
+        if view is None:  # render and measure a tree only once
+            view = measure(tree), tree.to_html()
+        metrics, html = view
+        if history:
+            template, slots = "reflexion", [instruction, format_history(history), html]
+        else:
+            template, slots = "crawler", [instruction, html]
         try:
-            exchange = gateway.complete("crawler", [instruction, tree.to_html()])
+            exchange = gateway.complete(template, slots)
         except MalformedOutput as exc:
-            trace.steps = tuple(steps)
             trace.failure_reason = f"malformed model output: {exc}"
-            return None, trace
+            break
         exchanges = [exchange]
         value = _value_list(exchange.parsed.get("value") if exchange.parsed else None)
         proposed = (exchange.parsed_str("xpath") or "").strip()
+        result: Optional[ExtractionResult] = None
+        accepted = True
 
-        if not proposed:
-            # Reserved answer: the attribute is absent from this page.
-            steps.append(StepRecord(
-                iteration, metrics, tuple(exchanges), value, proposed,
-                None, "accept",
-            ))
-            trace.steps = tuple(steps)
-            trace.sequence = ActionSequence((), provenance)
-            trace.final_values = ()
-            return trace.sequence, trace
+        if (
+            history
+            and cfg.judge_mode is JudgeMode.LLM
+            and exchange.parsed_str("consistent").strip().lower().startswith("yes")
+        ):
+            # The model judged its previous attempt consistent: keep it.
+            proposed = history[-1][1]
+            result = eval_text(tree, proposed)
+        elif proposed:
+            result = eval_text(tree, proposed)
+            if strategy is not Strategy.COT:
+                verdict = _judge(result, value, cfg, gateway)
+                if verdict.exchange is not None:
+                    exchanges.append(verdict.exchange)
+                accepted = verdict.verdict
+        # A blank xpath is the reserved answer: the attribute is absent.
 
-        result = eval_text(tree, proposed)
-        verdict = _judge(result, value, cfg, gateway)
-        if verdict.exchange is not None:
-            exchanges.append(verdict.exchange)
-        if verdict.verdict:
-            steps.append(StepRecord(
-                iteration, metrics, tuple(exchanges), value, proposed,
-                result, "accept",
-            ))
-            trace.steps = tuple(steps)
-            trace.sequence = ActionSequence((*pruning, proposed), provenance)
-            trace.final_values = result.values
-            return trace.sequence, trace
-
-        # Step-back: climb from the proposed node until the subtree contains
-        # the value, then record the climb as a pruning step.
-        decision, pruned, climb_exchanges = _step_back(
-            tree, proposed, value, instruction, cfg, gateway
-        )
-        exchanges.extend(climb_exchanges)
+        if accepted:
+            decision = "accept"
+        elif strategy is Strategy.PROGRESSIVE:
+            # Step-back: climb from the proposed node until the subtree
+            # contains the value, then record the climb as a pruning step.
+            (decision, climb), pruned, climb_exchanges = _step_back(
+                tree, proposed, value, instruction, cfg, gateway
+            )
+            exchanges.extend(climb_exchanges)
+            if climb is not None:
+                pruning.append(climb)
+                tree, view = pruned, None
+        else:
+            decision = "retry"
+            history.append((exchange.parsed_str("thought"), proposed, result.values))
         steps.append(StepRecord(
-            iteration, metrics, tuple(exchanges), value, proposed,
-            result, decision[0],
+            iteration, metrics, tuple(exchanges), value, proposed, result, decision,
         ))
-        if decision[1] is not None:
-            pruning.append(decision[1])
-            tree = pruned
+        if accepted:
+            trace.sequence = ActionSequence((*pruning, proposed) if proposed else (), provenance)
+            trace.final_values = result.values if result is not None else ()
+            break
+    else:
+        trace.failure_reason = f"no consistent xpath within d_max={cfg.d_max} iterations"
 
     trace.steps = tuple(steps)
-    trace.failure_reason = f"no consistent xpath within d_max={cfg.d_max} iterations"
-    return None, trace
+    return trace.sequence, trace
 
 
 def _step_back(
@@ -309,33 +310,6 @@ def _step_back(
         # Keep climbing; the loop shrinks the remaining depth every pass.
 
 
-def generate_cot(
-    page: DocumentTree,
-    instruction: str,
-    gateway: LlmGateway,
-    cfg: StrategyConfig,
-) -> tuple[Optional[ActionSequence], GenerationTrace]:
-    trace = GenerationTrace(page.source_id, instruction, Strategy.COT.value)
-    provenance = Provenance(page.source_id, Strategy.COT.value)
-    metrics = measure(page)
-    try:
-        exchange = gateway.complete("crawler", [instruction, page.to_html()])
-    except MalformedOutput as exc:
-        trace.failure_reason = f"malformed model output: {exc}"
-        return None, trace
-    value = _value_list(exchange.parsed.get("value") if exchange.parsed else None)
-    proposed = (exchange.parsed_str("xpath") or "").strip()
-    if not proposed:
-        trace.steps = (StepRecord(0, metrics, (exchange,), value, proposed, None, "accept"),)
-        trace.sequence = ActionSequence((), provenance)
-        return trace.sequence, trace
-    result = eval_text(page, proposed)
-    trace.steps = (StepRecord(0, metrics, (exchange,), value, proposed, result, "accept"),)
-    trace.sequence = ActionSequence((proposed,), provenance)
-    trace.final_values = result.values
-    return trace.sequence, trace
-
-
 def format_history(history: list[tuple[str, str, tuple[str, ...]]]) -> str:
     """Render prior attempts as numbered thought/xpath/result blocks."""
     blocks = []
@@ -343,83 +317,3 @@ def format_history(history: list[tuple[str, str, tuple[str, ...]]]) -> str:
         result = json.dumps(list(values), ensure_ascii=False)
         blocks.append(f"{index}. thought: {thought}\n   xpath: {xpath}\n   result: {result}")
     return "\n".join(blocks)
-
-
-def generate_reflexion(
-    page: DocumentTree,
-    instruction: str,
-    gateway: LlmGateway,
-    cfg: StrategyConfig,
-) -> tuple[Optional[ActionSequence], GenerationTrace]:
-    trace = GenerationTrace(page.source_id, instruction, Strategy.REFLEXION.value)
-    provenance = Provenance(page.source_id, Strategy.REFLEXION.value)
-    steps: list[StepRecord] = []
-    history: list[tuple[str, str, tuple[str, ...]]] = []
-    page_html = page.to_html()
-    metrics = measure(page)
-
-    for attempt in range(cfg.d_max):
-        template = "crawler" if attempt == 0 else "reflexion"
-        slots = (
-            [instruction, page_html]
-            if attempt == 0
-            else [instruction, format_history(history), page_html]
-        )
-        try:
-            exchange = gateway.complete(template, slots)
-        except MalformedOutput as exc:
-            trace.steps = tuple(steps)
-            trace.failure_reason = f"malformed model output: {exc}"
-            return None, trace
-        exchanges = [exchange]
-        value = _value_list(exchange.parsed.get("value") if exchange.parsed else None)
-        proposed = (exchange.parsed_str("xpath") or "").strip()
-        thought = exchange.parsed_str("thought")
-
-        if (
-            attempt > 0
-            and cfg.judge_mode is JudgeMode.LLM
-            and exchange.parsed_str("consistent").strip().lower().startswith("yes")
-            and history
-        ):
-            # The model judged the previous attempt consistent: keep it.
-            previous_xpath = history[-1][1]
-            result = eval_text(page, previous_xpath)
-            steps.append(StepRecord(
-                attempt, metrics, tuple(exchanges), value, previous_xpath,
-                result, "accept",
-            ))
-            trace.steps = tuple(steps)
-            trace.sequence = ActionSequence((previous_xpath,), provenance)
-            trace.final_values = result.values
-            return trace.sequence, trace
-
-        if not proposed:
-            steps.append(StepRecord(
-                attempt, metrics, tuple(exchanges), value, proposed, None, "accept",
-            ))
-            trace.steps = tuple(steps)
-            trace.sequence = ActionSequence((), provenance)
-            return trace.sequence, trace
-
-        result = eval_text(page, proposed)
-        verdict = _judge(result, value, cfg, gateway)
-        if verdict.exchange is not None:
-            exchanges.append(verdict.exchange)
-        if verdict.verdict:
-            steps.append(StepRecord(
-                attempt, metrics, tuple(exchanges), value, proposed, result, "accept",
-            ))
-            trace.steps = tuple(steps)
-            trace.sequence = ActionSequence((proposed,), provenance)
-            trace.final_values = result.values
-            return trace.sequence, trace
-
-        steps.append(StepRecord(
-            attempt, metrics, tuple(exchanges), value, proposed, result, "retry",
-        ))
-        history.append((thought, proposed, result.values))
-
-    trace.steps = tuple(steps)
-    trace.failure_reason = f"no consistent xpath within d_max={cfg.d_max} attempts"
-    return None, trace

@@ -30,7 +30,7 @@ from wrapsmith.dataset import derive_seed, load_case
 from wrapsmith.dom import parse_html, preprocess
 from wrapsmith.evaluation import Label, classify_case
 from wrapsmith.executor import eval_text, normalize_values, prune
-from wrapsmith.generation import GenerationTrace, StrategyConfig, generate_progressive
+from wrapsmith.generation import GenerationTrace, StrategyConfig, generate
 from wrapsmith.synthesis import select_seeds
 from wrapsmith.xpath import evaluate
 
@@ -125,7 +125,7 @@ def test_criterion_2_loop_bounds():
         words = page.text_content().split() or ["x"]
         gateway = make_gateway(_random_scenario_transport(rng, words), max_retries=0)
         cfg = StrategyConfig(d_max=D_MAX)
-        sequence, trace = generate_progressive(page, "fuzzed instruction", gateway, cfg)
+        sequence, trace = generate(page, "fuzzed instruction", gateway, cfg)
         assert len(trace.steps) <= D_MAX, f"scenario {scenario} exceeded d_max"
         for step in trace.steps:
             match = _STEPBACK_RE.match(step.decision)

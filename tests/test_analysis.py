@@ -97,11 +97,6 @@ class TestBreakeven:
         )
         assert breakeven_pages(params) == 16
 
-    def test_from_direct_time_approximation(self):
-        params = CostModelParams.from_direct_time(t_direct=2.0, n_seeds=3, d_max=5)
-        assert params.t_generate == 10.0 and params.t_synthesize == 2.0
-        assert breakeven_pages(params) == 16
-
     def test_degenerate_single_seed(self):
         params = CostModelParams(
             n_seeds=1, t_generate=1.0, t_synthesize=0.0, t_execute=0.0, t_direct=1.0

@@ -3,7 +3,9 @@ import json
 import pytest
 
 from wrapsmith.cli import main
-from wrapsmith.dataset import PageRecord, WebpageCase, dump_json, save_case
+from wrapsmith.dataset import PageRecord, WebpageCase, dump_json
+from wrapsmith.executor import ActionSequence, Provenance
+from wrapsmith.generation import GenerationTrace
 
 
 def run_cli(*args):
@@ -160,7 +162,7 @@ class TestEvalGolden:
                 PageRecord(pid, f"pages/{pid}.html", tuple(gold)) for pid, gold in pages
             ),
         )
-        save_case(case, cases_dir / f"{case.case_id}.json")
+        dump_json(case.to_record(), cases_dir / f"{case.case_id}.json")
         return case
 
     def test_handwritten_results_exact_table(self, tmp_path, capsys):
@@ -221,6 +223,53 @@ class TestErrors:
             "generate", "--cases", empty, "--backend", synthetic_corpus.backend_path,
             "--out", tmp_path / "o",
         ) == 3
+
+
+def trace_record(page_path):
+    return GenerationTrace(
+        page_id="p",
+        instruction="items",
+        strategy="progressive",
+        sequence=ActionSequence(("//li/text()",), Provenance("p", "progressive")),
+        final_values=("x",),
+        html_path=str(page_path),
+    ).to_record()
+
+
+class TestMalformedInputs:
+    def test_malformed_trace_is_data_error(self, tmp_path, capsys):
+        page = tmp_path / "p.html"
+        page.write_text("<ul><li>x</li></ul>", encoding="utf-8")
+        traces = tmp_path / "traces"
+        traces.mkdir()
+        trace = traces / "t.json"
+        dump_json(trace_record(page), trace)
+        assert run_cli("replay", "--trace", trace) == 0
+
+        record = trace_record(page)
+        del record["steps"]
+        dump_json(record, trace)
+        assert run_cli("replay", "--trace", trace) == 3
+        record = trace_record(page)
+        record["sequence"]["steps"] = [5]
+        dump_json(record, trace)
+        assert run_cli("replay", "--trace", trace) == 3
+        capsys.readouterr()
+        dump_json({**trace_record(page), "steps": 5}, trace)
+        assert run_cli(
+            "analyze", "--traces", traces, "--sequences", tmp_path, "--out", tmp_path / "stats"
+        ) == 3
+        error = json.loads(capsys.readouterr().err.strip())
+        assert error["error"] == "DatasetError"
+
+    def test_deeply_nested_page_is_data_error(self, tmp_path, capsys):
+        page = tmp_path / "deep.html"
+        page.write_text("<ul>" + "<li>x" * 1200 + "</ul>", encoding="utf-8")
+        trace = tmp_path / "t.json"
+        dump_json(trace_record(page), trace)
+        assert run_cli("replay", "--trace", trace) == 3
+        error = json.loads(capsys.readouterr().err.strip())
+        assert error["error"] == "RecursionError"
 
 
 class TestCorpusCommand:

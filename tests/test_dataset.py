@@ -12,8 +12,8 @@ from wrapsmith.dataset import (
     build_cases,
     case_from_record,
     derive_seed,
+    dump_json,
     load_case,
-    save_case,
 )
 
 
@@ -172,15 +172,15 @@ class TestCaseRoundTrip:
     def test_save_load_structural_equality(self, tmp_path):
         case = self.make_case()
         path = tmp_path / "case.json"
-        save_case(case, path)
+        dump_json(case.to_record(), path)
         assert load_case(path) == case
 
     def test_save_load_bit_exact(self, tmp_path):
         case = self.make_case()
         first = tmp_path / "a.json"
         second = tmp_path / "b.json"
-        save_case(case, first)
-        save_case(load_case(first), second)
+        dump_json(case.to_record(), first)
+        dump_json(load_case(first).to_record(), second)
         assert first.read_bytes() == second.read_bytes()
 
     def test_missing_gold_field_rejected(self):

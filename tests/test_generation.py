@@ -12,9 +12,6 @@ from wrapsmith.generation import (
     StrategyConfig,
     format_history,
     generate,
-    generate_cot,
-    generate_progressive,
-    generate_reflexion,
 )
 
 
@@ -27,7 +24,7 @@ class TestProgressive:
         gateway = make_gateway(
             lambda t, p: json_answer("6-9", "//div[@class='hrow']/span/text()")
         )
-        sequence, trace = generate_progressive(
+        sequence, trace = generate(
             player_page, "height", gateway, progressive_cfg()
         )
         assert sequence.steps == ("//div[@class='hrow']/span/text()",)
@@ -41,7 +38,7 @@ class TestProgressive:
             return json_answer("6-9", "//span[@class='val']/text()")
 
         gateway = make_gateway(transport)
-        sequence, trace = generate_progressive(
+        sequence, trace = generate(
             player_page, "height", gateway, progressive_cfg()
         )
         assert len(sequence.steps) == 2
@@ -58,7 +55,7 @@ class TestProgressive:
             return json_answer("6-9", "//div[@class='nav']/ul/li/text()")
 
         gateway = make_gateway(transport)
-        sequence, trace = generate_progressive(
+        sequence, trace = generate(
             player_page, "height", gateway, progressive_cfg(d_max=5)
         )
         assert sequence is None
@@ -67,7 +64,7 @@ class TestProgressive:
 
     def test_blank_xpath_is_attribute_absent(self, player_page):
         gateway = make_gateway(lambda t, p: json_answer("", ""))
-        sequence, trace = generate_progressive(
+        sequence, trace = generate(
             player_page, "height", gateway, progressive_cfg()
         )
         assert sequence is not None and sequence.steps == ()
@@ -75,7 +72,7 @@ class TestProgressive:
 
     def test_value_absent_gives_up_each_iteration(self, player_page):
         gateway = make_gateway(lambda t, p: json_answer("7-0", "//div[@class='hrow']/b/text()"))
-        sequence, trace = generate_progressive(
+        sequence, trace = generate(
             player_page, "height", gateway, progressive_cfg(d_max=3)
         )
         assert sequence is None
@@ -84,7 +81,7 @@ class TestProgressive:
     def test_unanchorable_xpath_retries_on_same_tree(self, player_page):
         # Matches nothing anywhere, but the value exists in the page.
         gateway = make_gateway(lambda t, p: json_answer("6-9", "//section[@class='zzz']"))
-        sequence, trace = generate_progressive(
+        sequence, trace = generate(
             player_page, "height", gateway, progressive_cfg(d_max=2)
         )
         assert sequence is None
@@ -92,7 +89,7 @@ class TestProgressive:
 
     def test_malformed_output_fails_generation(self, player_page):
         gateway = make_gateway(lambda t, p: "never json", max_retries=1)
-        sequence, trace = generate_progressive(
+        sequence, trace = generate(
             player_page, "height", gateway, progressive_cfg()
         )
         assert sequence is None
@@ -105,7 +102,7 @@ class TestProgressive:
             return json_answer("6-9", "//span[@class='val']/text()")
 
         gateway = make_gateway(transport)
-        _, trace = generate_progressive(player_page, "height", gateway, progressive_cfg())
+        _, trace = generate(player_page, "height", gateway, progressive_cfg())
         tokens = [s.metrics_before.token_count for s in trace.steps]
         assert tokens == sorted(tokens, reverse=True)
         assert tokens[1] < tokens[0]
@@ -113,7 +110,7 @@ class TestProgressive:
     def test_iterations_never_exceed_dmax(self, player_page):
         for d_max in (1, 2, 4):
             gateway = make_gateway(lambda t, p: json_answer("6-9", "//li/text()"))
-            _, trace = generate_progressive(
+            _, trace = generate(
                 player_page, "height", gateway, progressive_cfg(d_max=d_max)
             )
             assert len(trace.steps) <= d_max
@@ -126,7 +123,7 @@ class TestProgressive:
                 "xpath": "//div[@class='hrow']/span/text()",
             })
         )
-        sequence, trace = generate_progressive(
+        sequence, trace = generate(
             player_page, "height", gateway, progressive_cfg()
         )
         assert sequence is not None and trace.final_values == ("6-9",)
@@ -140,7 +137,7 @@ class TestProgressive:
             raise AssertionError(template)
 
         gateway = make_gateway(transport)
-        _, trace = generate_progressive(
+        _, trace = generate(
             player_page, "height", gateway, progressive_cfg(judge_mode=JudgeMode.LLM)
         )
         templates = [e.template for e in trace.steps[0].exchanges]
@@ -155,7 +152,7 @@ class TestCot:
             calls.append(template)
             return json_answer("6-9", "//p")
 
-        sequence, trace = generate_cot(
+        sequence, trace = generate(
             player_page, "height", make_gateway(transport), StrategyConfig(strategy=Strategy.COT)
         )
         assert calls == ["crawler"]
@@ -163,14 +160,14 @@ class TestCot:
         assert len(trace.steps) == 1
 
     def test_blank_xpath_gives_empty_sequence(self, player_page):
-        sequence, _ = generate_cot(
+        sequence, _ = generate(
             player_page, "height", make_gateway(lambda t, p: json_answer("", "")),
             StrategyConfig(strategy=Strategy.COT),
         )
         assert sequence.steps == ()
 
     def test_malformed_fails(self, player_page):
-        sequence, trace = generate_cot(
+        sequence, trace = generate(
             player_page, "height", make_gateway(lambda t, p: "nope", max_retries=0),
             StrategyConfig(strategy=Strategy.COT),
         )
@@ -191,7 +188,7 @@ class TestReflexion:
                 "6-9", "//div[@class='hrow']/span/text()", consistent="no"
             )
 
-        sequence, trace = generate_reflexion(
+        sequence, trace = generate(
             player_page, "height", make_gateway(transport), self.reflexion_cfg()
         )
         assert sequence.steps == ("//div[@class='hrow']/span/text()",)
@@ -204,7 +201,7 @@ class TestReflexion:
                 return json_answer("6-9", "//div[@class='hrow']/span/text()", consistent="no")
             return json_answer("6-9", "//li/text()")
 
-        _, trace = generate_reflexion(
+        _, trace = generate(
             player_page, "height", make_gateway(transport), self.reflexion_cfg()
         )
         sizes = {s.metrics_before.token_count for s in trace.steps}
@@ -214,7 +211,7 @@ class TestReflexion:
         def transport(template, prompt):
             return json_answer("6-9", "//li/text()", consistent="no")
 
-        sequence, trace = generate_reflexion(
+        sequence, trace = generate(
             player_page, "height", make_gateway(transport), self.reflexion_cfg(d_max=3)
         )
         assert sequence is None
@@ -231,7 +228,7 @@ class TestReflexion:
             assert template == "reflexion"
             return json_answer("6-9", "//ignored", consistent="yes")
 
-        sequence, trace = generate_reflexion(
+        sequence, trace = generate(
             player_page, "height",
             make_gateway(transport),
             self.reflexion_cfg(judge_mode=JudgeMode.LLM),
@@ -261,7 +258,7 @@ class TestReflexion:
                 return json_answer("6-9", "//div[@class='hrow']/span/text()", consistent="no")
             return json_answer("6-9", "//li/text()")
 
-        generate_reflexion(
+        generate(
             player_page, "height", make_gateway(transport), self.reflexion_cfg()
         )
         reflexion_prompts = [p for t, p in prompts if t == "reflexion"]
@@ -278,7 +275,7 @@ class TestTraces:
 
     def test_round_trip(self, player_page):
         gateway = make_gateway(self.staged_transport)
-        _, trace = generate_progressive(player_page, "height", gateway, progressive_cfg())
+        _, trace = generate(player_page, "height", gateway, progressive_cfg())
         record = trace.to_record()
         rebuilt = GenerationTrace.from_record(json.loads(json.dumps(record)))
         assert rebuilt.to_record() == record
@@ -286,7 +283,7 @@ class TestTraces:
     def test_identical_inputs_identical_traces(self, player_page):
         def run():
             gateway = make_gateway(self.staged_transport)
-            _, trace = generate_progressive(
+            _, trace = generate(
                 player_page, "height", gateway, progressive_cfg()
             )
             return json.dumps(trace.to_record(), sort_keys=True)
