@@ -126,7 +126,7 @@ def _generate_case(
             "html_path": record.html_path,
             "gold": list(record.gold),
             "proposed_values": list(trace.final_values),
-            "sequence": sequence.to_record() if sequence else None,
+            "sequence": sequence.to_record() if sequence is not None else None,
             "trace_file": f"traces/{trace_file}",
         })
     dump_json(
@@ -159,14 +159,10 @@ def cmd_generate(args: argparse.Namespace) -> int:
     skipped = 0
     for path in _case_files(cases_dir):
         case = load_case(path)
-        target = out / "candidates" / f"{case.case_id}.json"
-        if target.exists() and not args.force:
-            try:
-                json.loads(target.read_text(encoding="utf-8"))
-                skipped += 1
-                continue
-            except json.JSONDecodeError:
-                pass  # half-written checkpoint: redo
+        # dump_json writes atomically, so an existing file is a whole checkpoint.
+        if (out / "candidates" / f"{case.case_id}.json").exists() and not args.force:
+            skipped += 1
+            continue
         todo.append(case)
 
     failures: list[Exception] = []
@@ -206,25 +202,26 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
         gateway = LlmGateway(BackendConfig.from_file(args.backend))
 
     count = 0
+    seed_trees: dict[tuple[str, str], DocumentTree] = {}
     for path in _case_files(candidates_dir / "candidates"):
         record = json.loads(path.read_text(encoding="utf-8"))
-        seeds = record["seeds"]
-        candidates: list[ActionSequence] = []
-        seed_values: list[list[str]] = []
-        gold_values: list[list[str]] = []
-        trees: list[DocumentTree] = []
-        seed_ids: list[str] = []
-        for seed in seeds:
-            if seed["sequence"] is None:
-                continue  # generation failed on this seed
-            candidates.append(ActionSequence.from_record(seed["sequence"]))
-            seed_values.append(seed["proposed_values"])
-            gold_values.append(seed["gold"])
-            seed_ids.append(seed["page_id"])
-            trees.append(_load_page(corpus_root, seed["html_path"], seed["page_id"]))
+        # A seed without a sequence is one where generation failed.
+        seeds = [seed for seed in record["seeds"] if seed["sequence"] is not None]
+        candidates = [ActionSequence.from_record(seed["sequence"]) for seed in seeds]
+        seed_values = [seed["proposed_values"] for seed in seeds]
+        gold_values = [seed["gold"] for seed in seeds]
+        seed_ids = [seed["page_id"] for seed in seeds]
+        # Consecutive cases of one website often draw the same seed pages:
+        # keep the trees this case shares with the previous one, drop the
+        # rest before parsing new ones, so at most one case's seeds are live.
+        keys = [(seed["html_path"], seed["page_id"]) for seed in seeds]
+        seed_trees = {key: seed_trees[key] for key in keys if key in seed_trees}
+        for key in keys:
+            if key not in seed_trees:
+                seed_trees[key] = _load_page(corpus_root, *key)
         matrix = []
         if candidates:
-            matrix = cross_execute(candidates, trees)
+            matrix = cross_execute(candidates, [seed_trees[key] for key in keys])
             choice = synthesize(
                 candidates,
                 matrix,
@@ -266,27 +263,43 @@ def cmd_run(args: argparse.Namespace) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    def work(path: Path) -> None:
+    # The cases of one website share its page sample: group them so that
+    # each page is parsed once for all of them.
+    Job = tuple[str, dict, WebpageCase]
+    groups: dict[tuple[str, str], list[Job]] = {}
+    files = _case_files(sequences_dir)
+    for path in files:
         record = json.loads(path.read_text(encoding="utf-8"))
         case = load_case(cases_dir / f"{record['case_id']}.json")
-        pages: dict[str, dict] = {}
-        if record["sequence"] is not None:
+        groups.setdefault((case.domain, case.website), []).append((path.name, record, case))
+
+    def work(group: list[Job]) -> None:
+        results: dict[str, dict[str, dict]] = {}
+        runs: dict[tuple[str, str], list[tuple[dict, ActionSequence]]] = {}
+        for name, record, case in group:
+            pages = results[name] = {}
+            if record["sequence"] is None:
+                for page_record in case.pages:
+                    pages[page_record.page_id] = {"values": [], "status": "no_match"}
+                continue
             sequence = ActionSequence.from_record(record["sequence"])
             for page_record in case.pages:
-                page = _load_page(corpus_root, page_record.html_path, page_record.page_id)
-                pages[page_record.page_id] = extract(page, sequence).to_record()
-        else:
-            for page_record in case.pages:
-                pages[page_record.page_id] = {"values": [], "status": "no_match"}
-        dump_json({"case_id": record["case_id"], "pages": pages}, out / path.name)
+                key = (page_record.html_path, page_record.page_id)
+                runs.setdefault(key, []).append((pages, sequence))
+        for (html_path, page_id), page_runs in runs.items():
+            page = _load_page(corpus_root, html_path, page_id)
+            for pages, sequence in page_runs:
+                pages[page_id] = extract(page, sequence).to_record()
+            del page  # one parsed page live at a time
+        for name, record, _ in group:
+            dump_json({"case_id": record["case_id"], "pages": results[name]}, out / name)
 
-    files = _case_files(sequences_dir)
     if args.jobs > 1:
         with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            list(pool.map(work, files))
+            list(pool.map(work, groups.values()))
     else:
-        for path in files:
-            work(path)
+        for group in groups.values():
+            work(group)
     dump_json(meta, out / "_meta.json")
     print(f"ran sequences for {len(files)} case(s)")
     return 0

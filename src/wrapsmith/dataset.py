@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import random
 from dataclasses import dataclass
 from pathlib import Path
@@ -293,11 +294,17 @@ def case_from_record(record: dict) -> WebpageCase:
 
 
 def dump_json(record, path: str | Path) -> None:
-    """Canonical JSON writer shared by every artifact for byte-stable files."""
-    Path(path).write_text(
-        json.dumps(record, ensure_ascii=False, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    """Canonical JSON writer shared by every artifact for byte-stable files.
+
+    The file appears whole or not at all: the text goes to ``.<name>.tmp``
+    beside it first (a name no ``*.json`` glob picks up) and is then moved
+    into place, so a crash never leaves a half-written artifact.
+    """
+    path = Path(path)
+    text = json.dumps(record, ensure_ascii=False, indent=2, sort_keys=True) + "\n"
+    tmp = path.with_name(f".{path.name}.tmp")
+    tmp.write_text(text, encoding="utf-8")
+    os.replace(tmp, path)
 
 
 def load_case(path: str | Path) -> WebpageCase:

@@ -127,7 +127,7 @@ class GenerationTrace:
             "instruction": self.instruction,
             "strategy": self.strategy,
             "steps": [s.to_record() for s in self.steps],
-            "sequence": self.sequence.to_record() if self.sequence else None,
+            "sequence": self.sequence.to_record() if self.sequence is not None else None,
             "failure_reason": self.failure_reason,
             "final_values": list(self.final_values),
             "html_path": self.html_path,
@@ -142,7 +142,7 @@ class GenerationTrace:
             steps=tuple(StepRecord.from_record(s) for s in record["steps"]),
             sequence=(
                 ActionSequence.from_record(record["sequence"])
-                if record["sequence"]
+                if record["sequence"] is not None
                 else None
             ),
             failure_reason=record["failure_reason"],

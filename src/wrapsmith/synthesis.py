@@ -54,9 +54,14 @@ def cross_execute(
 ) -> list[list[ExtractionResult]]:
     """``matrix[i][j]``: result of candidate ``i`` on seed ``j``.
 
-    Failures are recorded in the matrix, never raised.
+    Failures are recorded in the matrix, never raised. Candidates with the
+    same steps share one row: execution does not depend on provenance.
     """
-    return [[extract(seed, candidate) for seed in seeds] for candidate in candidates]
+    rows: dict[tuple[str, ...], list[ExtractionResult]] = {}
+    for candidate in candidates:
+        if candidate.steps not in rows:
+            rows[candidate.steps] = [extract(seed, candidate) for seed in seeds]
+    return [list(rows[candidate.steps]) for candidate in candidates]
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,12 @@ the ``contains`` / ``starts-with`` / ``not`` / ``position`` / ``last`` /
 Node-sets keep document order and are duplicate-free. Comparisons follow
 XPath 1.0 semantics: a node-set compares existentially against the other
 operand via node string-values.
+
+A step whose first predicate is a number, as in ``preceding-sibling::tr[1]``,
+stops scanning its axis at the k-th node that passes the node test (reverse
+axes count nearest first); a fractional or non-positive k selects nothing.
+Any further predicates see that single node. Other steps, including
+``[last()]`` and ``[position()=k]``, test every node on the axis.
 """
 
 from __future__ import annotations
@@ -18,7 +24,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Optional, Union
+from itertools import chain, islice
+from typing import Iterable, Iterator, Optional, Union
 
 from .dom import CommentNode, DocumentTree, ElementNode, Node, TextNode
 
@@ -482,42 +489,46 @@ def _descendants(node: XNode) -> Iterator[Node]:
             stack.extend(reversed(item.children))
 
 
-def _axis_candidates(node: XNode, axis: str, document: DocumentNode) -> list[XNode]:
+def _axis_candidates(node: XNode, axis: str, document: DocumentNode) -> Iterable[XNode]:
+    """The nodes on ``axis`` from ``node``, in axis order, produced lazily."""
     if axis == "child":
-        return list(_children_of(node))
+        return _children_of(node)
     if axis == "descendant":
-        return list(_descendants(node))
+        return _descendants(node)
     if axis == "descendant-or-self":
-        return [node, *(_descendants(node))]
+        return chain((node,), _descendants(node))
     if axis == "self":
-        return [node]
+        return (node,)
     if axis == "parent":
         parent = _parent_of(node, document)
-        return [parent] if parent is not None else []
+        return (parent,) if parent is not None else ()
     if axis in ("ancestor", "ancestor-or-self"):
-        out: list[XNode] = [node] if axis == "ancestor-or-self" else []
-        cur = _parent_of(node, document)
-        while cur is not None:
-            out.append(cur)
-            cur = _parent_of(cur, document)
-        return out  # nearest first: reverse axis order
+        return _ancestors(node, axis == "ancestor-or-self", document)
     if axis in ("following-sibling", "preceding-sibling"):
         parent = _parent_of(node, document)
         if parent is None or isinstance(node, AttributeValue):
-            return []
-        siblings = list(_children_of(parent))
+            return ()
+        siblings = _children_of(parent)
         try:
             idx = siblings.index(node)
         except ValueError:
-            return []
+            return ()
         if axis == "following-sibling":
-            return list(siblings[idx + 1:])
-        return list(reversed(siblings[:idx]))  # nearest first
+            return islice(siblings, idx + 1, None)
+        return islice(reversed(siblings), len(siblings) - idx, None)  # nearest first
     if axis == "attribute":
         if isinstance(node, ElementNode):
-            return [AttributeValue(node, k, v) for k, v in node.attrs]
-        return []
+            return (AttributeValue(node, k, v) for k, v in node.attrs)
+        return ()
     raise XPathSyntaxError(f"unsupported axis {axis!r}")
+
+
+def _ancestors(node: XNode, or_self: bool, document: DocumentNode) -> Iterator[XNode]:
+    """Nearest first: reverse axis order."""
+    cur = node if or_self else _parent_of(node, document)
+    while cur is not None:
+        yield cur
+        cur = _parent_of(cur, document)
 
 
 def _test_matches(test: NodeTest, node: XNode, axis: str) -> bool:
@@ -543,12 +554,19 @@ def _evaluate_step(
 ) -> list[XNode]:
     gathered: list[XNode] = []
     seen: set[int] = set()
+    predicates = step.predicates
+    nth = None
+    if predicates and isinstance(predicates[0], Number):
+        nth, predicates = predicates[0].value, predicates[1:]
     for node in nodes:
-        candidates = [
-            c for c in _axis_candidates(node, step.axis, document)
-            if _test_matches(step.test, c, step.axis)
-        ]
-        for predicate in step.predicates:
+        if nth is None:
+            candidates = [
+                c for c in _axis_candidates(node, step.axis, document)
+                if _test_matches(step.test, c, step.axis)
+            ]
+        else:
+            candidates = _nth_candidate(node, step, nth, document)
+        for predicate in predicates:
             size = len(candidates)
             kept = []
             for position, candidate in enumerate(candidates, start=1):
@@ -565,6 +583,19 @@ def _evaluate_step(
                 gathered.append(candidate)
     gathered.sort(key=_order_key)
     return gathered
+
+
+def _nth_candidate(
+    node: XNode, step: Step, nth: float, document: DocumentNode
+) -> list[XNode]:
+    """The ``[nth]`` node passing the step's test; the scan stops there."""
+    if nth < 1 or nth != int(nth):
+        return []
+    matches = (
+        c for c in _axis_candidates(node, step.axis, document)
+        if _test_matches(step.test, c, step.axis)
+    )
+    return list(islice(matches, int(nth) - 1, int(nth)))
 
 
 def _predicate_holds(expr: Expr, ctx: _Context) -> bool:

@@ -2,10 +2,12 @@ import json
 
 import pytest
 
+from conftest import json_answer, make_gateway
+from wrapsmith import cli
 from wrapsmith.cli import main
-from wrapsmith.dataset import PageRecord, WebpageCase, dump_json
+from wrapsmith.dataset import PageRecord, WebpageCase, dump_json, load_case
 from wrapsmith.executor import ActionSequence, Provenance
-from wrapsmith.generation import GenerationTrace
+from wrapsmith.generation import GenerationTrace, StrategyConfig
 
 
 def run_cli(*args):
@@ -148,6 +150,136 @@ class TestPipelineTail:
         assert run_cli("replay", "--trace", tampered) == 3
         error = json.loads(capsys.readouterr().err.strip())
         assert error["error"] == "ReplayMismatch"
+
+
+@pytest.fixture
+def count_parses(monkeypatch):
+    """Page ids passed to ``cli.parse_html``, one entry per call."""
+    parsed: list[str] = []
+    original = cli.parse_html
+
+    def counting(raw, page_id):
+        parsed.append(page_id)
+        return original(raw, page_id)
+
+    monkeypatch.setattr(cli, "parse_html", counting)
+    return parsed
+
+
+def write_pages(root, page_ids):
+    root.mkdir()
+    for page_id in page_ids:
+        (root / f"{page_id}.html").write_text(f"<div><b>{page_id}</b></div>", encoding="utf-8")
+
+
+class TestParseOncePerWebsite:
+    @pytest.fixture
+    def sequences(self, pipeline_dirs):
+        corpus, cases, tmp = pipeline_dirs
+        gen, seq = tmp / "gen", tmp / "seq"
+        assert run_cli("generate", "--cases", cases, "--backend", corpus.backend_path,
+                       "--seed", "3", "--out", gen) == 0
+        assert run_cli("synthesize", "--candidates", gen, "--out", seq) == 0
+        return cases, seq, tmp
+
+    def test_parallel_run_matches_serial(self, sequences):
+        cases, seq, tmp = sequences
+        for jobs in (1, 2):
+            assert run_cli("run", "--sequences", seq, "--cases", cases,
+                           "--jobs", jobs, "--out", tmp / f"results-{jobs}") == 0
+        serial = sorted(p.name for p in (tmp / "results-1").iterdir())
+        assert serial == sorted(p.name for p in (tmp / "results-2").iterdir())
+        assert len(serial) == 21  # 10 sites x 2 attributes, plus _meta.json
+        for name in serial:
+            assert (tmp / "results-1" / name).read_bytes() == (tmp / "results-2" / name).read_bytes()
+
+    def test_run_parses_each_page_once(self, sequences, count_parses):
+        cases, seq, tmp = sequences
+        pages = {
+            (page.html_path, page.page_id)
+            for path in cli._case_files(cases)
+            for page in load_case(path).pages
+        }
+        assert run_cli("run", "--sequences", seq, "--cases", cases, "--out", tmp / "results") == 0
+        assert len(count_parses) == len(pages) == 200  # 10 sites x 20 sampled pages
+
+    def test_synthesize_reuses_previous_case_seed_pages(self, tmp_path, count_parses):
+        write_pages(tmp_path / "corpus", ["p1", "p2", "p3"])
+        gen = tmp_path / "gen"
+        (gen / "candidates").mkdir(parents=True)
+        dump_json({"corpus_root": str(tmp_path / "corpus")}, gen / "_meta.json")
+
+        def seed(page_id):
+            return {
+                "page_id": page_id,
+                "html_path": f"{page_id}.html",
+                "gold": [page_id],
+                "proposed_values": [page_id],
+                "sequence": ActionSequence(
+                    ("//b/text()",), Provenance(page_id, "progressive")
+                ).to_record(),
+                "trace_file": f"traces/{page_id}.json",
+            }
+
+        for attribute, page_ids in (("a", ["p1", "p2"]), ("b", ["p2", "p3"])):
+            case_id = f"d__w__{attribute}"
+            dump_json(
+                {"case_id": case_id, "instruction": "i", "strategy": "progressive",
+                 "seeds": [seed(p) for p in page_ids]},
+                gen / "candidates" / f"{case_id}.json",
+            )
+        assert run_cli("synthesize", "--candidates", gen, "--out", tmp_path / "seq") == 0
+        assert count_parses == ["p1", "p2", "p3"]
+        chosen = json.loads((tmp_path / "seq" / "d__w__b.json").read_text())
+        assert [row[1]["values"] for row in chosen["matrix"]] == [["p3"], ["p3"]]
+
+
+    def test_run_missing_page_is_data_error(self, tmp_path, capsys):
+        write_pages(tmp_path / "corpus", ["p1"])
+        cases, seq = tmp_path / "cases", tmp_path / "seq"
+        cases.mkdir()
+        seq.mkdir()
+        dump_json({"corpus_root": str(tmp_path / "corpus")}, cases / "_meta.json")
+        case = WebpageCase(
+            "d", "w", "a", "i",
+            tuple(PageRecord(p, f"{p}.html", ()) for p in ("p1", "gone")),
+        )
+        dump_json(case.to_record(), cases / f"{case.case_id}.json")
+        sequence = ActionSequence(("//b/text()",), Provenance("p1", "progressive"))
+        dump_json({"case_id": case.case_id, "sequence": sequence.to_record()},
+                  seq / f"{case.case_id}.json")
+        assert run_cli("run", "--sequences", seq, "--cases", cases,
+                       "--out", tmp_path / "results") == 3
+        error = json.loads(capsys.readouterr().err.strip())
+        assert error["error"] == "FileNotFoundError"
+
+
+class TestAttributeAbsent:
+    def test_blank_xpath_sequence_survives_the_round_trip(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        write_pages(corpus, ["p1", "p2", "p3"])
+        case = WebpageCase(
+            "d", "w", "a", "Please extract the award.",
+            tuple(PageRecord(p, f"{p}.html", ()) for p in ("p1", "p2", "p3")),
+        )
+        gateway = make_gateway(lambda template, prompt: json_answer("", ""))
+        gen = tmp_path / "gen"
+        (gen / "candidates").mkdir(parents=True)
+        (gen / "traces").mkdir()
+        cli._generate_case(case, corpus, gateway, StrategyConfig(), 3, 0, gen)
+        dump_json({"corpus_root": str(corpus)}, gen / "_meta.json")
+
+        trace_path = gen / "traces" / f"{case.case_id}__p1.json"
+        trace = GenerationTrace.from_record(json.loads(trace_path.read_text()))
+        assert trace.succeeded and trace.sequence.steps == ()
+
+        assert run_cli("synthesize", "--candidates", gen, "--out", tmp_path / "seq") == 0
+        chosen = json.loads((tmp_path / "seq" / f"{case.case_id}.json").read_text())
+        assert chosen["seed_ids"] == ["p1", "p2", "p3"]
+        assert chosen["sequence"]["steps"] == []
+
+        assert run_cli("replay", "--trace", trace_path) == 0
+        assert "replay ok: []" in capsys.readouterr().out
 
 
 class TestEvalGolden:

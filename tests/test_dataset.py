@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from wrapsmith import dataset
 from wrapsmith.dataset import (
     INSTRUCTIONS,
     CorpusManifest,
@@ -182,6 +183,26 @@ class TestCaseRoundTrip:
         dump_json(case.to_record(), first)
         dump_json(load_case(first).to_record(), second)
         assert first.read_bytes() == second.read_bytes()
+
+    def test_dump_json_leaves_no_temp_file(self, tmp_path):
+        path = tmp_path / "case.json"
+        dump_json({"old": True}, path)
+        dump_json(self.make_case().to_record(), path)
+        assert [p.name for p in tmp_path.iterdir()] == ["case.json"]
+        assert load_case(path) == self.make_case()
+
+    def test_interrupted_dump_json_keeps_the_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "case.json"
+        dump_json({"old": True}, path)
+
+        def crash(src, dst):
+            raise OSError("interrupted")
+
+        monkeypatch.setattr(dataset.os, "replace", crash)
+        with pytest.raises(OSError):
+            dump_json({"new": True}, path)
+        assert json.loads(path.read_text(encoding="utf-8")) == {"old": True}
+        assert [p.name for p in tmp_path.glob("*.json")] == ["case.json"]
 
     def test_missing_gold_field_rejected(self):
         record = self.make_case().to_record()

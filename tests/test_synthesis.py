@@ -1,6 +1,7 @@
 import pytest
 
 from conftest import make_gateway
+from wrapsmith import synthesis
 from wrapsmith.dom import parse_html, preprocess
 from wrapsmith.executor import ActionSequence, ExtractionStatus, Provenance
 from wrapsmith.synthesis import (
@@ -64,6 +65,27 @@ class TestCrossExecute:
         candidates = [sequence("//span/text()"), sequence("//span/text()")]
         matrix = cross_execute(candidates, seeds)
         assert matrix[0] == matrix[1]
+
+    def test_duplicate_steps_execute_once(self, monkeypatch):
+        calls = []
+        original = synthesis.extract
+
+        def counting(tree, candidate):
+            calls.append(candidate.steps)
+            return original(tree, candidate)
+
+        monkeypatch.setattr(synthesis, "extract", counting)
+        seeds = [page("6-1"), page("6-2")]
+        candidates = [
+            sequence("//span/text()", seed="a"),
+            sequence("//b/text()", seed="b"),
+            sequence("//span/text()", seed="c"),
+        ]
+        matrix = cross_execute(candidates, seeds)
+        assert len(calls) == 4
+        assert [[r.values for r in row] for row in matrix] == [
+            [("6-1",), ("6-2",)], [("Height:",), ("Height:",)], [("6-1",), ("6-2",)],
+        ]
 
     def test_invalid_candidate_recorded_not_raised(self):
         matrix = cross_execute([sequence("//div[")], [page("6-1")])

@@ -11,6 +11,7 @@ from oracles import (
     random_page_html,
     random_simple_xpath,
 )
+from wrapsmith import xpath as xpath_module
 from wrapsmith.dom import parse_html
 from wrapsmith.executor import normalize_values
 from wrapsmith.xpath import (
@@ -143,6 +144,58 @@ class TestPredicates:
             "1",
             "2",
         ]
+
+
+SPEC_TABLE = (
+    "<table>"
+    "<tr><th>A</th><td>a1</td><td>a2</td></tr>"
+    "<tr><th>B</th><td>b1</td></tr>"
+    "<tr><th>C</th><td class='x'>c1</td><td>c2</td><td class='x'>c3</td></tr>"
+    "</table>"
+)
+
+
+class TestLeadingPosition:
+    """A step whose first predicate is ``[k]`` stops at its k-th match."""
+
+    def values(self, html, expression):
+        return [string_value(n) for n in evaluate(tree_of(html), expression)]
+
+    def test_following_sibling_first(self):
+        assert self.values(SPEC_TABLE, "//th/following-sibling::td[1]") == ["a1", "b1", "c1"]
+
+    def test_preceding_sibling_counts_nearest_first(self):
+        assert self.values(SPEC_TABLE, "//tr[3]/preceding-sibling::tr[1]/th") == ["B"]
+        assert self.values(SPEC_TABLE, "//tr[3]/preceding-sibling::tr[2]/th") == ["A"]
+        assert self.values(SPEC_TABLE, "//tr[preceding-sibling::tr[1]/th='B']/th") == ["C"]
+
+    def test_ancestor_counts_nearest_first(self):
+        html = "<div id='a'><div id='b'><div id='c'><p>x</p></div></div></div>"
+        nodes = evaluate(tree_of(html), "//p/ancestor::div[2]")
+        assert [n.get("id") for n in nodes] == ["b"]
+
+    @pytest.mark.parametrize("k", ["0", "1.5", "99"])
+    def test_out_of_range_or_fractional_is_empty(self, k):
+        assert self.values(SPEC_TABLE, f"//tr/td[{k}]") == []
+
+    def test_repeated_first(self):
+        assert self.values(SPEC_TABLE, "//tr[3]/td[1][1]") == ["c1"]
+        assert self.values(SPEC_TABLE, "//tr/td[2][1]") == ["a2", "c2"]
+
+    def test_later_predicates_see_the_single_node(self):
+        assert self.values(SPEC_TABLE, "//tr[3]/td[2][@class='x']") == []
+        assert self.values(SPEC_TABLE, "//tr[3]/td[@class='x'][2]") == ["c3"]
+        assert self.values(SPEC_TABLE, "//tr[3]/td[3][@class='x']") == ["c3"]
+
+    def test_last_and_position_stay_on_the_general_path(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("short-circuit taken")
+
+        monkeypatch.setattr(xpath_module, "_nth_candidate", refuse)
+        assert self.values(SPEC_TABLE, "//tr[th='C']/td[last()]") == ["c3"]
+        assert self.values(SPEC_TABLE, "//tr[th='C']/td[position()=2]") == ["c2"]
+        with pytest.raises(AssertionError, match="short-circuit"):
+            self.values(SPEC_TABLE, "//tr[th='C']/td[2]")
 
 
 class TestErrors:
