@@ -165,23 +165,19 @@ def cmd_generate(args: argparse.Namespace) -> int:
             continue
         todo.append(case)
 
-    failures: list[Exception] = []
+    def work(case: WebpageCase) -> Optional[GatewayError]:
+        try:
+            _generate_case(case, corpus_root, gateway, cfg, args.seeds_per_case, args.seed, out)
+        except GatewayError as exc:
+            return exc  # the other cases still run; the first failure is raised below
+        return None
 
-    def work(case: WebpageCase) -> None:
-        _generate_case(case, corpus_root, gateway, cfg, args.seeds_per_case, args.seed, out)
-
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            futures = {pool.submit(work, case): case for case in todo}
-            for future in futures:
-                try:
-                    future.result()
-                except GatewayError as exc:
-                    failures.append(exc)
-    else:
-        for case in todo:
-            work(case)
-
+    # Any job count tries every case, so a rerun resumes from the checkpoints.
+    # One job stays on this thread: a worker thread's own malloc arena adds
+    # ~0.6 MB to peak RSS on 46 KB pages.
+    with ThreadPoolExecutor(max_workers=max(args.jobs, 1)) as pool:
+        results = pool.map(work, todo) if args.jobs > 1 else map(work, todo)
+        failures = [exc for exc in results if exc is not None]
     dump_json(meta, out / "_meta.json")
     if failures:
         raise failures[0]

@@ -92,10 +92,6 @@ class ActionSequence:
     def pruning_steps(self) -> tuple[str, ...]:
         return self.steps[:-1]
 
-    @property
-    def extraction_step(self) -> Optional[str]:
-        return self.steps[-1] if self.steps else None
-
     def __len__(self) -> int:
         return len(self.steps)
 

@@ -6,9 +6,12 @@ claimed value. A consistent answer is accepted. The strategies differ only in
 what a mismatch does:
 
 * ``progressive`` - the top-down/step-back policy. It climbs from the
-  proposed node by appending ``/..`` until the subtree demonstrably contains
-  the value, records the climb as a pruning step, and continues on the
-  smaller tree.
+  proposed node until the subtree demonstrably contains the value, records
+  the climb as a pruning step (the xpath with one ``/..`` per climb), and
+  continues on the smaller tree. The proposed xpath is evaluated once; each
+  climb maps its node set to the parents, and a union climbs only its last
+  branch, exactly as the appended ``/..`` reads. The climb ends at the root
+  at the latest.
 * ``reflexion`` - adds the failed attempt to a history and asks again with
   that history, always on the full page; it never prunes. In LLM-judge mode
   the model may answer that its previous attempt was consistent, which
@@ -29,19 +32,12 @@ from enum import Enum
 from typing import Optional
 
 from . import executor
-from .dom import DocumentTree, TreeMetrics, measure
-from .executor import (
-    ActionSequence,
-    ExtractionResult,
-    InvalidXPathError,
-    NoMatchError,
-    NotAnElementError,
-    Provenance,
-    eval_text,
-    prune,
-)
+from .dom import DocumentTree, ElementNode, TreeMetrics, measure
+from .executor import ActionSequence, ExtractionResult, Provenance, eval_text
+from .executor import prune  # noqa: F401 - the benchmark's tracer test looks it up here
 from .gateway import JudgeMode, JudgeResult, LlmExchange, LlmGateway, MalformedOutput
 from .gateway import judge_consistent, judge_contains
+from .xpath import DocumentNode, XPathSyntaxError, climb
 
 
 class Strategy(str, Enum):
@@ -265,49 +261,44 @@ def _step_back(
     cfg: StrategyConfig,
     gateway: LlmGateway,
 ) -> tuple[tuple[str, Optional[str]], DocumentTree, list[LlmExchange]]:
-    """Append ``/..`` to the proposed xpath until containment or the root.
+    """Climb from the proposed node until its subtree holds the value.
 
-    Returns ``((decision, appended_step_or_None), new_tree, judge_exchanges)``.
-    ``appended_step`` is set only when a strictly smaller subtree passed the
-    containment check; reaching the root yields ``retry`` (value present
-    somewhere, xpath unanchorable) or ``give_up`` (value absent entirely).
+    Climb ``k`` judges the first node of ``proposed`` followed by ``k``
+    times ``/..``. Returns ``((decision, appended_step_or_None), new_tree,
+    judge_exchanges)``. ``appended_step`` is set only when a strictly
+    smaller subtree passed the containment check; reaching the root yields
+    ``retry`` (value present somewhere, xpath unanchorable) or ``give_up``
+    (value absent entirely).
     """
     exchanges: list[LlmExchange] = []
-    climb_cap = measure(tree).height + 2
-    base = proposed
-    climbs = 0
-    while True:
-        base += "/.."
-        climbs += 1
-        root_reached = False
-        outcome = None
-        try:
-            outcome = prune(tree, base)
-            root_reached = outcome.root_reached
-        except InvalidXPathError:
-            root_reached = True  # unanchorable expression: straight to root
-        except (NoMatchError, NotAnElementError):
-            if climbs > climb_cap:
-                root_reached = True  # nothing anchored after maximal climb
-            else:
-                continue
-        candidate = tree if outcome is None or root_reached else outcome.tree
-        contains = judge_contains(
+
+    def contains(candidate: DocumentTree) -> bool:
+        result = judge_contains(
             candidate, value, instruction,
             mode=cfg.judge_mode,
             gateway=gateway if cfg.judge_mode is JudgeMode.LLM else None,
         )
-        if contains.exchange is not None:
-            exchanges.append(contains.exchange)
-        if root_reached or candidate is tree:
-            if contains.verdict:
-                # The page holds the value but this xpath cannot be anchored
-                # to a smaller subtree; retry top-down on the same tree.
-                return ("retry", None), tree, exchanges
-            return ("give_up", None), tree, exchanges
-        if contains.verdict:
-            return (f"stepback({climbs})", base), candidate, exchanges
-        # Keep climbing; the loop shrinks the remaining depth every pass.
+        if result.exchange is not None:
+            exchanges.append(result.exchange)
+        return result.verdict
+
+    try:
+        for climbs, node in enumerate(climb(tree, proposed), start=1):
+            if isinstance(node, DocumentNode) or node is tree.root:
+                break
+            if not isinstance(node, ElementNode):
+                continue  # nothing here can root a subtree: climb on
+            # Judge the candidate where it stands; copy it only once accepted.
+            if contains(DocumentTree(node, tree.source_id)):
+                step = proposed + "/.." * climbs
+                return (f"stepback({climbs})", step), tree.subtree(node), exchanges
+    except XPathSyntaxError:
+        pass  # unanchorable expression: straight to the root
+    if contains(tree):
+        # The page holds the value but this xpath cannot be anchored to a
+        # smaller subtree; retry top-down on the same tree.
+        return ("retry", None), tree, exchanges
+    return ("give_up", None), tree, exchanges
 
 
 def format_history(history: list[tuple[str, str, tuple[str, ...]]]) -> str:

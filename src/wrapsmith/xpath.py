@@ -721,6 +721,31 @@ def evaluate(tree: DocumentTree, expression: str) -> list[XNode]:
     return _evaluate_paths(ast, ctx)
 
 
+_PARENT_STEP = Step("parent", NodeTestAny())
+
+
+def climb(tree: DocumentTree, expression: str) -> Iterator[Optional[XNode]]:
+    """Yield the first node of ``expression/..``, then ``expression/../..``, ...
+
+    Appending ``/..`` extends only the last branch of a union, so the other
+    branches are evaluated once and held fixed, and each climb maps the last
+    branch's node set to its parents; nothing is evaluated again. ``None``
+    stands for an empty selection. The climb ends once the last branch has
+    no node left, which is at most one step past the document node.
+    Raises :class:`XPathSyntaxError` as :func:`evaluate` does.
+    """
+    *fixed_paths, last = parse_xpath(expression + "/..").paths
+    document = DocumentNode(tree.root)
+    ctx = _Context(document, 1, 1, document)
+    fixed = _evaluate_paths(UnionExpr(tuple(fixed_paths)), ctx)[:1]
+    nodes = _evaluate_paths(last, ctx)
+    while True:
+        yield min(fixed + nodes[:1], key=_order_key, default=None)
+        if not nodes:
+            return
+        nodes = _evaluate_step(nodes, _PARENT_STEP, document)
+
+
 def iter_predicates(expression: str) -> Iterator[Expr]:
     """Yield every predicate expression in the parsed location paths."""
     ast = parse_xpath(expression)

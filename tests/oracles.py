@@ -1,5 +1,8 @@
 """Independent references used by the tests.
 
+The step-back oracle climbs by strings, the way the paper words it: append
+``/..`` to the xpath and prune the whole page again, once per climb.
+
 The XPath oracle mirrors a document tree into ``xml.etree.ElementTree``
 (wrapped in a synthetic super-root so leading ``//`` behaves like the
 document node) and answers the same queries through ``findall``, a code
@@ -13,7 +16,9 @@ from __future__ import annotations
 import random
 import xml.etree.ElementTree as ET
 
-from wrapsmith.dom import DocumentTree, ElementNode, TextNode
+from wrapsmith.dom import DocumentTree, ElementNode, TextNode, measure
+from wrapsmith.executor import InvalidXPathError, NoMatchError, NotAnElementError, prune
+from wrapsmith.gateway import JudgeMode, judge_contains
 
 TAGS = ["div", "span", "p", "b", "ul", "li", "a"]
 CLASSES = ["a", "b", "c", "item", "x y"]
@@ -112,3 +117,43 @@ def positional_xpath(element: ElementNode) -> str:
         node = node.parent
     steps.append(node.tag)
     return "/" + "/".join(reversed(steps))
+
+
+def reference_step_back(tree, proposed, value, instruction, mode, gateway=None):
+    """Step back by re-pruning ``proposed/..``, ``proposed/../..``, ...
+
+    Every climb re-evaluates the grown string and judges a copy of the
+    first matched element. Climbs past the tree's height plus two go to the
+    root whatever the string selects, so the loop always ends.
+
+    Returns ``(decision, base_or_None, tree, exchanges, capped)``, where
+    ``capped`` says that the cap, not the xpath, ended the climb.
+    """
+    exchanges = []
+    cap = measure(tree).height + 2
+    base = proposed
+    climbs = 0
+    while True:
+        base += "/.."
+        climbs += 1
+        capped = climbs > cap
+        try:
+            outcome = prune(tree, base)
+            root_reached = outcome.root_reached or capped
+        except InvalidXPathError:
+            root_reached = True
+        except (NoMatchError, NotAnElementError):
+            if not capped:
+                continue
+            root_reached = True
+        candidate = tree if root_reached else outcome.tree
+        verdict = judge_contains(
+            candidate, value, instruction,
+            mode=mode, gateway=gateway if mode is JudgeMode.LLM else None,
+        )
+        if verdict.exchange is not None:
+            exchanges.append(verdict.exchange)
+        if root_reached:
+            return ("retry" if verdict.verdict else "give_up"), None, tree, exchanges, capped
+        if verdict.verdict:
+            return f"stepback({climbs})", base, candidate, exchanges, False

@@ -7,6 +7,7 @@ from wrapsmith import cli
 from wrapsmith.cli import main
 from wrapsmith.dataset import PageRecord, WebpageCase, dump_json, load_case
 from wrapsmith.executor import ActionSequence, Provenance
+from wrapsmith.gateway import BackendConfig, GatewayError, LlmGateway, ScriptTable, prompt_fingerprint
 from wrapsmith.generation import GenerationTrace, StrategyConfig
 
 
@@ -99,6 +100,33 @@ class TestGenerate:
         for path in sorted((serial / "candidates").glob("*.json")):
             twin = parallel / "candidates" / path.name
             assert path.read_bytes() == twin.read_bytes()
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_backend_failure_tries_every_case_then_exits_2(
+        self, pipeline_dirs, monkeypatch, capsys, jobs
+    ):
+        corpus, cases, tmp = pipeline_dirs
+        script = ScriptTable.load(BackendConfig.from_file(corpus.backend_path).script_path)
+
+        def transport(template, prompt):
+            if 'class="stats-3"' in prompt and "extract the height" in prompt:
+                raise GatewayError("backend error 503")
+            return script.lookup(prompt_fingerprint(template, prompt))
+
+        monkeypatch.setattr(cli, "LlmGateway", lambda config: LlmGateway(config, transport=transport))
+        out = tmp / "gen"
+        args = ("generate", "--cases", cases, "--backend", corpus.backend_path,
+                "--seed", "3", "--jobs", jobs, "--out", out)
+        assert run_cli(*args) == 2
+        error = json.loads(capsys.readouterr().err.strip())
+        assert error == {"error": "GatewayError", "detail": "backend error 503"}
+        assert (out / "_meta.json").exists()
+        written = sorted(p.stem for p in (out / "candidates").glob("*.json"))
+        assert len(written) == 19 and "nbaplayer__site03__height" not in written
+
+        monkeypatch.undo()
+        assert run_cli(*args) == 0
+        assert "generated 1 case(s), skipped 19 checkpointed" in capsys.readouterr().out
 
 
 class TestPipelineTail:

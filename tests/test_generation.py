@@ -1,15 +1,19 @@
+import hashlib
 import json
+import random
 
 import pytest
 
 from conftest import json_answer, make_gateway
-from wrapsmith.dom import measure
+from oracles import random_page_html, random_simple_xpath, reference_step_back
+from wrapsmith.dom import measure, parse_html, preprocess
 from wrapsmith.executor import run_sequence
 from wrapsmith.gateway import JudgeMode
 from wrapsmith.generation import (
     GenerationTrace,
     Strategy,
     StrategyConfig,
+    _step_back,
     format_history,
     generate,
 )
@@ -142,6 +146,106 @@ class TestProgressive:
         )
         templates = [e.template for e in trace.steps[0].exchanges]
         assert templates == ["crawler", "judgement"]
+
+
+class TestStepBackUnions:
+    def test_union_climbs_only_its_last_branch(self):
+        # <a> comes first and never moves; only //b climbs, so the first
+        # node is <a> until the fourth climb reaches <body>, which holds the
+        # value. Climbing both branches would accept <div> at the first.
+        page = preprocess(parse_html(
+            "<html><body><div><span>6-9</span><a>x</a></div>"
+            "<section><ul><li><b>y</b></li></ul></section></body></html>", "u",
+        ))
+
+        def transport(template, prompt):
+            if "<html>" in prompt:
+                return json_answer("6-9", "//a | //b")
+            return json_answer("6-9", "//span/text()")
+
+        sequence, trace = generate(page, "height", make_gateway(transport), progressive_cfg())
+        assert [s.decision for s in trace.steps] == ["stepback(4)", "accept"]
+        assert sequence.steps == ("//a | //b/../../../..", "//span/text()")
+        assert run_sequence(page, sequence).values == ("6-9",)
+
+    def test_union_with_a_fixed_wrong_node_ends_at_the_root(self):
+        # //nosuch/.. never climbs, and the first <p> does not hold the
+        # value, so nothing can move: the climb ends at the root.
+        page = preprocess(parse_html("<div><p>a</p><span>6-9</span></div>", "u"))
+        gateway = make_gateway(lambda t, p: json_answer("6-9", "//p | //nosuch"))
+        sequence, trace = generate(page, "height", gateway, progressive_cfg(d_max=3))
+        assert sequence is None
+        assert len(trace.steps) == 3
+        assert {s.decision for s in trace.steps} <= {"retry", "give_up"}
+
+
+_STEP_BACK_TAILS = ["", "", "/text()", "//text()", "/@class", "/.."]
+_STEP_BACK_ODD = ["//div/", "/", ".", "..", "//node()", "//div[", "//nosuch", "//p | //nosuch"]
+
+
+def _step_back_cases(rng, pages):
+    """(tree, proposed, value) over random pages: plain paths with text and
+    attribute tails, unions, odd and invalid expressions, empty selections
+    and values the page does not hold."""
+    for index in range(pages):
+        tree = preprocess(parse_html(random_page_html(rng), f"page-{index}"))
+        words = tree.text_content().split() or ["x"]
+        elements = list(tree.iter_elements())
+
+        def path():
+            if rng.random() < 0.3:
+                return random_simple_xpath(rng) + rng.choice(_STEP_BACK_TAILS)
+            element = rng.choice(elements)  # a path that selects something
+            step = element.tag
+            if element.class_attr and rng.random() < 0.5:
+                step += f"[@class='{element.class_attr}']"
+            if element.parent is not None and rng.random() < 0.3:
+                step = f"{element.parent.tag}/{step}"
+            return "//" + step + rng.choice(_STEP_BACK_TAILS)
+
+        proposals = [path() for _ in range(4)]
+        proposals.append(" | ".join(path() for _ in range(rng.randint(2, 3))))
+        proposals.append(f"{path()} | //nosuch")
+        proposals.append(rng.choice(_STEP_BACK_ODD))
+        for proposed in proposals:
+            value = rng.choice([
+                (rng.choice(words),),
+                (rng.choice(words), rng.choice(words)),
+                ("missing-value",),
+            ])
+            yield tree, proposed, value
+
+
+def _hashed_judge(template, prompt):
+    """A scripted step-back judge: a fixed yes or no for each prompt."""
+    assert template == "stepback"
+    yes = hashlib.sha256(prompt.encode("utf-8")).digest()[0] % 2
+    return json.dumps({"judgement": "yes" if yes else "no"})
+
+
+@pytest.mark.parametrize("mode", list(JudgeMode))
+def test_step_back_matches_the_by_string_reference(mode):
+    rng = random.Random(6 if mode is JudgeMode.DETERMINISTIC else 7)
+    cfg = progressive_cfg(judge_mode=mode)
+    gateway = make_gateway(_hashed_judge)
+    compared = stepbacks = 0
+    for tree, proposed, value in _step_back_cases(rng, pages=300):
+        decision, base, pruned, exchanges, capped = reference_step_back(
+            tree, proposed, value, "instr", mode, gateway
+        )
+        (got_decision, got_base), got_tree, got_exchanges = _step_back(
+            tree, proposed, value, "instr", cfg, gateway
+        )
+        case = (tree.to_html(), proposed, value)
+        assert got_decision == decision, case
+        if capped:
+            continue  # the reference ran into its cap, not into the root
+        compared += 1
+        stepbacks += decision.startswith("stepback")
+        assert got_base == base, case
+        assert got_tree.to_html() == pruned.to_html(), case
+        assert [e.to_record() for e in got_exchanges] == [e.to_record() for e in exchanges], case
+    assert compared > 1000 and stepbacks > 400
 
 
 class TestCot:
