@@ -13,10 +13,8 @@ from .executor import (
     ExtractionResult,
     ExtractionStatus,
     Provenance,
-    eval_node,
     eval_text,
     extract,
-    run_sequence,
 )
 from .evaluation import CaseOutcome, Label, SuiteReport, aggregate, classify_case
 from .gateway import BackendConfig, JudgeMode, LlmGateway, ScriptTable
@@ -45,14 +43,12 @@ __all__ = [
     "aggregate",
     "classify_case",
     "cross_execute",
-    "eval_node",
     "eval_text",
     "extract",
     "generate",
     "measure",
     "parse_html",
     "preprocess",
-    "run_sequence",
     "select_seeds",
     "synthesize",
 ]

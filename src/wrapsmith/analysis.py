@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .dom import DocumentTree, measure
-from .executor import ActionSequence, classify_sequence, eval_node
+from .executor import ActionSequence, classify_sequence, prune
 from .generation import GenerationTrace
 
 
@@ -46,7 +46,7 @@ def compression_curve(
     curve: list[tuple[float, float]] = []
     tree = page
     for step in sequence.pruning_steps:
-        tree = eval_node(tree, step)
+        tree = tree.subtree(prune(tree, step))
         curve.append(compression_ratios(page, tree))
     return curve
 

@@ -14,7 +14,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional, TypeVar
 
 from . import analysis, fixtures
 from .dataset import (
@@ -58,18 +58,56 @@ def _case_files(directory: Path) -> list[Path]:
     return sorted(p for p in directory.glob("*.json") if not p.name.startswith("_"))
 
 
-def _load_trace(path: Path) -> GenerationTrace:
-    """Read a trace file; a missing or ill-typed field is a data error."""
+T = TypeVar("T")
+
+
+def _read_record(path: Path, decode: Callable[[dict], T]) -> T:
+    """Read a JSON file and decode it; a missing or ill-typed field is a data error."""
     record = json.loads(path.read_text(encoding="utf-8"))
     try:
-        trace = GenerationTrace.from_record(record)
+        return decode(record)
     except (KeyError, TypeError, AttributeError) as exc:
-        raise DatasetError(f"malformed trace {path}: {type(exc).__name__}: {exc}") from exc
-    texts = [trace.page_id, trace.html_path, *(trace.sequence.steps if trace.sequence else ())]
+        raise DatasetError(f"malformed record {path}: {type(exc).__name__}: {exc}") from exc
+
+
+def _load_trace(path: Path) -> GenerationTrace:
+    """Read a trace file; a missing or ill-typed field is a data error."""
+    trace = _read_record(path, GenerationTrace.from_record)
+    steps = trace.sequence.steps if trace.sequence is not None else ()
+    texts = [trace.page_id, trace.html_path, *steps]
     sizes = [n for step in trace.steps for n in astuple(step.metrics_before)]
     if not all(isinstance(t, str) for t in texts) or not all(type(n) is int for n in sizes):
         raise DatasetError(f"malformed trace {path}: ill-typed field")
     return trace
+
+
+def _decode_candidates(record: dict) -> tuple:
+    """Case id and instruction of a ``generate`` output file, then, over the
+    seeds that have a sequence, the sequences, page ids, ``(html_path,
+    page_id)`` keys, proposed values and gold values."""
+    # A seed without a sequence is one where generation failed.
+    seeds = [seed for seed in record["seeds"] if seed["sequence"] is not None]
+    return (
+        record["case_id"],
+        record["instruction"],
+        [ActionSequence.from_record(seed["sequence"]) for seed in seeds],
+        [seed["page_id"] for seed in seeds],
+        [(seed["html_path"], seed["page_id"]) for seed in seeds],
+        [seed["proposed_values"] for seed in seeds],
+        [seed["gold"] for seed in seeds],
+    )
+
+
+def _decode_chosen(record: dict) -> tuple[str, Optional[ActionSequence]]:
+    """Case id and chosen sequence of a ``synthesize`` output file."""
+    sequence = record["sequence"]
+    return record["case_id"], None if sequence is None else ActionSequence.from_record(sequence)
+
+
+def _decode_results(record: dict) -> tuple[str, dict[str, list]]:
+    """Case id and the extracted values of each page of a ``run`` output file."""
+    pages = {page_id: page.get("values", []) for page_id, page in record["pages"].items()}
+    return record["case_id"], pages
 
 
 def _load_page(corpus_root: Path, html_path: str, page_id: str) -> DocumentTree:
@@ -200,17 +238,11 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
     count = 0
     seed_trees: dict[tuple[str, str], DocumentTree] = {}
     for path in _case_files(candidates_dir / "candidates"):
-        record = json.loads(path.read_text(encoding="utf-8"))
-        # A seed without a sequence is one where generation failed.
-        seeds = [seed for seed in record["seeds"] if seed["sequence"] is not None]
-        candidates = [ActionSequence.from_record(seed["sequence"]) for seed in seeds]
-        seed_values = [seed["proposed_values"] for seed in seeds]
-        gold_values = [seed["gold"] for seed in seeds]
-        seed_ids = [seed["page_id"] for seed in seeds]
+        (case_id, instruction, candidates, seed_ids, keys,
+         seed_values, gold_values) = _read_record(path, _decode_candidates)
         # Consecutive cases of one website often draw the same seed pages:
         # keep the trees this case shares with the previous one, drop the
         # rest before parsing new ones, so at most one case's seeds are live.
-        keys = [(seed["html_path"], seed["page_id"]) for seed in seeds]
         seed_trees = {key: seed_trees[key] for key in keys if key in seed_trees}
         for key in keys:
             if key not in seed_trees:
@@ -224,7 +256,7 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
                 seed_values,
                 mode=args.mode,
                 gateway=gateway,
-                instruction=record["instruction"],
+                instruction=instruction,
                 seed_ids=seed_ids,
                 gold_values=gold_values if args.gold else None,
             )
@@ -234,7 +266,7 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
             chosen, index = None, None
         dump_json(
             {
-                "case_id": record["case_id"],
+                "case_id": case_id,
                 "chosen_index": index,
                 "candidates": [c.to_record() for c in candidates],
                 "matrix": [
@@ -243,7 +275,7 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
                 "seed_ids": seed_ids,
                 "sequence": chosen,
             },
-            out / f"{record['case_id']}.json",
+            out / f"{case_id}.json",
         )
         count += 1
     dump_json(meta, out / "_meta.json")
@@ -261,24 +293,25 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     # The cases of one website share its page sample: group them so that
     # each page is parsed once for all of them.
-    Job = tuple[str, dict, WebpageCase]
+    Job = tuple[str, str, Optional[ActionSequence], WebpageCase]
     groups: dict[tuple[str, str], list[Job]] = {}
     files = _case_files(sequences_dir)
     for path in files:
-        record = json.loads(path.read_text(encoding="utf-8"))
-        case = load_case(cases_dir / f"{record['case_id']}.json")
-        groups.setdefault((case.domain, case.website), []).append((path.name, record, case))
+        case_id, sequence = _read_record(path, _decode_chosen)
+        case = load_case(cases_dir / f"{case_id}.json")
+        groups.setdefault((case.domain, case.website), []).append(
+            (path.name, case_id, sequence, case)
+        )
 
     def work(group: list[Job]) -> None:
         results: dict[str, dict[str, dict]] = {}
         runs: dict[tuple[str, str], list[tuple[dict, ActionSequence]]] = {}
-        for name, record, case in group:
+        for name, _, sequence, case in group:
             pages = results[name] = {}
-            if record["sequence"] is None:
+            if sequence is None:
                 for page_record in case.pages:
                     pages[page_record.page_id] = {"values": [], "status": "no_match"}
                 continue
-            sequence = ActionSequence.from_record(record["sequence"])
             for page_record in case.pages:
                 key = (page_record.html_path, page_record.page_id)
                 runs.setdefault(key, []).append((pages, sequence))
@@ -287,8 +320,8 @@ def cmd_run(args: argparse.Namespace) -> int:
             for pages, sequence in page_runs:
                 pages[page_id] = extract(page, sequence).to_record()
             del page  # one parsed page live at a time
-        for name, record, _ in group:
-            dump_json({"case_id": record["case_id"], "pages": results[name]}, out / name)
+        for name, case_id, _, _ in group:
+            dump_json({"case_id": case_id, "pages": results[name]}, out / name)
 
     if args.jobs > 1:
         with ThreadPoolExecutor(max_workers=args.jobs) as pool:
@@ -306,13 +339,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
     cases_dir = Path(args.cases)
     outcomes = []
     for path in _case_files(results_dir):
-        record = json.loads(path.read_text(encoding="utf-8"))
-        case = load_case(cases_dir / f"{record['case_id']}.json")
+        case_id, values = _read_record(path, _decode_results)
+        case = load_case(cases_dir / f"{case_id}.json")
         pages = []
         for page_record in case.pages:
-            extracted = record["pages"].get(page_record.page_id, {}).get("values", [])
+            extracted = values.get(page_record.page_id, [])
             pages.append((extracted, list(page_record.gold), page_record.page_id))
-        outcomes.append(classify_case(record["case_id"], pages))
+        outcomes.append(classify_case(case_id, pages))
     if not outcomes:
         raise DatasetError(f"no result files in {results_dir}")
     report = aggregate(outcomes)
@@ -343,9 +376,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
     sequences = []
     for path in _case_files(sequences_dir):
-        record = json.loads(path.read_text(encoding="utf-8"))
-        if record.get("sequence"):
-            sequences.append(ActionSequence.from_record(record["sequence"]))
+        _, sequence = _read_record(path, _decode_chosen)
+        if sequence is not None:
+            sequences.append(sequence)
     fragility = analysis.fragility_report(sequences)
     (out / "fragility.tsv").write_text(fragility.to_tsv() + "\n", encoding="utf-8")
 

@@ -128,15 +128,6 @@ class ElementNode:
             if isinstance(node, ElementNode):
                 yield node
 
-    def depth(self) -> int:
-        """Number of ancestor elements above this node."""
-        d = 0
-        node = self.parent
-        while node is not None:
-            d += 1
-            node = node.parent
-        return d
-
     def __repr__(self) -> str:
         cls = f" class={self.class_attr!r}" if self.class_attr else ""
         return f"<ElementNode {self.tag}{cls} children={len(self.children)}>"
@@ -177,18 +168,9 @@ class DocumentTree:
     def text_content(self) -> str:
         return self.root.text_content()
 
-    def iter_nodes(self) -> Iterator[Node]:
-        return self.root.iter_nodes()
-
-    def iter_elements(self) -> Iterator[ElementNode]:
-        return self.root.iter_elements()
-
     def subtree(self, element: ElementNode) -> "DocumentTree":
         """Fresh tree rooted at a copy of ``element``; never aliases nodes."""
         return DocumentTree.from_root(_copy_node(element), self.source_id)
-
-    def structurally_equal(self, other: "DocumentTree") -> bool:
-        return _nodes_equal(self.root, other.root)
 
     def __repr__(self) -> str:
         return f"<DocumentTree {self.source_id!r} root={self.root.tag!r}>"
@@ -214,17 +196,6 @@ def _copy_node(node: Node) -> Node:
     if isinstance(node, CommentNode):
         return CommentNode(node.text)
     return ElementNode(node.tag, node.attrs, tuple(_copy_node(c) for c in node.children))
-
-
-def _nodes_equal(a: Node, b: Node) -> bool:
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, (TextNode, CommentNode)):
-        return a.text == b.text  # type: ignore[union-attr]
-    assert isinstance(a, ElementNode) and isinstance(b, ElementNode)
-    if a.tag != b.tag or a.attrs != b.attrs or len(a.children) != len(b.children):
-        return False
-    return all(_nodes_equal(x, y) for x, y in zip(a.children, b.children))
 
 
 def _escape_text(text: str) -> str:

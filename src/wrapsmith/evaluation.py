@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .executor import normalize_values
 
@@ -50,16 +50,6 @@ def _score_sets(
     """Hits, precision and recall of two already normalized value sets."""
     hit = len(e & g)
     return hit, (hit / len(e) if e else None), (hit / len(g) if g else None)
-
-
-def score_page(
-    extracted: Iterable[str], gold: Iterable[str]
-) -> tuple[Optional[float], Optional[float]]:
-    """Set precision/recall for one page; ``None`` marks undefined sides."""
-    _, precision, recall = _score_sets(
-        set(normalize_values(extracted)), set(normalize_values(gold))
-    )
-    return precision, recall
 
 
 @dataclass(frozen=True)

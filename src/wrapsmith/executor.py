@@ -2,9 +2,14 @@
 
 An action sequence is an ordered list of XPath expressions: every step but
 the last prunes the tree down to the first matched element, and the final
-step extracts text values from whatever remains. Extracted values are
-normalized (whitespace collapsed, empties dropped) so that downstream
-comparisons tolerate markup padding.
+step extracts text values from whatever remains. :func:`prune` returns
+that element without copying it; the document node, which ``/..`` selects
+at the root, counts as the root. :func:`extract` runs a whole sequence: it
+copies each pruned subtree (not when a step keeps the root), reports the
+index of a failing step, and treats the empty sequence as "attribute
+absent", which extracts nothing. Extracted values are normalized
+(whitespace collapsed, empties dropped) so that downstream comparisons
+tolerate markup padding.
 """
 
 from __future__ import annotations
@@ -92,9 +97,6 @@ class ActionSequence:
     def pruning_steps(self) -> tuple[str, ...]:
         return self.steps[:-1]
 
-    def __len__(self) -> int:
-        return len(self.steps)
-
     def to_record(self) -> dict:
         return {
             "steps": list(self.steps),
@@ -140,19 +142,11 @@ def eval_text(tree: DocumentTree, expression: str) -> ExtractionResult:
     return ExtractionResult(values, ExtractionStatus.OK)
 
 
-@dataclass(frozen=True)
-class PruneOutcome:
-    tree: DocumentTree
-    node: ElementNode
-    root_reached: bool
+def prune(tree: DocumentTree, expression: str) -> ElementNode:
+    """First element the expression selects in ``tree``.
 
-
-def prune(tree: DocumentTree, expression: str) -> PruneOutcome:
-    """Select the first matched element and return its subtree.
-
-    Matching the document node (the target of ``/..`` applied at the root)
-    is a no-op that returns the tree unchanged with ``root_reached`` set,
-    so that step-back loops have a floor.
+    The document node (the target of ``/..`` applied at the root) maps to
+    ``tree.root``, so a climb past the root stays there.
     """
     try:
         matches = xp.evaluate(tree, expression)
@@ -162,63 +156,49 @@ def prune(tree: DocumentTree, expression: str) -> PruneOutcome:
         raise NoMatchError(expression)
     first = matches[0]
     if isinstance(first, xp.DocumentNode):
-        return PruneOutcome(tree, tree.root, root_reached=True)
+        return tree.root
     if not isinstance(first, ElementNode):
         raise NotAnElementError(expression)
-    return PruneOutcome(
-        tree.subtree(first), first, root_reached=first is tree.root
-    )
+    return first
 
 
-def eval_node(tree: DocumentTree, expression: str) -> DocumentTree:
-    """Subtree rooted at the first matched element, as a fresh tree."""
-    return prune(tree, expression).tree
+def extract(page: DocumentTree, sequence: ActionSequence) -> ExtractionResult:
+    """Fold the pruning steps over the page, then extract with the last step.
 
-
-def run_sequence(page: DocumentTree, sequence: ActionSequence) -> ExtractionResult:
-    """Fold the pruning steps over the page, then extract with the last step."""
+    The empty sequence predicts absence: it succeeds with no values.
+    """
     if not sequence.steps:
-        raise ValueError("cannot run an empty action sequence")
+        return ExtractionResult((), ExtractionStatus.OK)
     tree = page
     for index, step in enumerate(sequence.pruning_steps):
         try:
-            tree = eval_node(tree, step)
+            node = prune(tree, step)
         except InvalidXPathError:
             return ExtractionResult((), ExtractionStatus.INVALID_XPATH, failed_step=index)
         except (NoMatchError, NotAnElementError):
             return ExtractionResult((), ExtractionStatus.NO_MATCH, failed_step=index)
+        if node is not tree.root:  # a copy of the root is the same tree
+            tree = tree.subtree(node)
     result = eval_text(tree, sequence.steps[-1])
     if not result.ok:
         return ExtractionResult((), result.status, failed_step=len(sequence.steps) - 1)
     return result
 
 
-def extract(page: DocumentTree, sequence: ActionSequence) -> ExtractionResult:
-    """Like :func:`run_sequence` but the empty sequence predicts absence."""
-    if not sequence.steps:
-        return ExtractionResult((), ExtractionStatus.OK)
-    return run_sequence(page, sequence)
-
-
 # --------------------------------------------------------------------------
 # Predicate classification
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FragilityConfig:
-    """A text literal is fragile when it looks page-specific: a long digit
-    run (phone numbers, ids) or an unusually long string."""
+#: A text literal is fragile when it looks page-specific: a digit run this
+#: long (phone numbers, ids) or a string longer than the length limit.
+MIN_FRAGILE_DIGIT_RUN = 4
+MAX_LITERAL_LEN = 20
 
-    min_digit_run: int = 4
-    max_literal_len: int = 20
-
-    def is_fragile(self, literal: str) -> bool:
-        if len(literal) > self.max_literal_len:
-            return True
-        return bool(re.search(r"\d{%d,}" % self.min_digit_run, literal))
+_FRAGILE_DIGITS = re.compile(r"\d{%d,}" % MIN_FRAGILE_DIGIT_RUN)
 
 
-DEFAULT_FRAGILITY = FragilityConfig()
+def _is_fragile(literal: str) -> bool:
+    return len(literal) > MAX_LITERAL_LEN or _FRAGILE_DIGITS.search(literal) is not None
 
 
 @dataclass(frozen=True)
@@ -253,9 +233,7 @@ def _is_attribute_operand(expr) -> bool:
     return False
 
 
-def classify_predicates(
-    expression: str, fragility: FragilityConfig = DEFAULT_FRAGILITY
-) -> PredicateReport:
+def classify_predicates(expression: str) -> PredicateReport:
     """Count ``contains`` and ``=`` predicates and flag fragile text literals.
 
     Literals compared against attribute values (``@class`` and friends) are
@@ -282,7 +260,7 @@ def classify_predicates(
                 contains_count += 1
                 target, literal = expr.args
                 if isinstance(literal, xp.Literal) and not _is_attribute_operand(target):
-                    if fragility.is_fragile(literal.value):
+                    if _is_fragile(literal.value):
                         fragile.append(FragileLiteral("contains", literal.value))
             for arg in expr.args:
                 visit(arg)
@@ -294,7 +272,7 @@ def classify_predicates(
                     (expr.right, expr.left),
                 ):
                     if isinstance(literal, xp.Literal) and not _is_attribute_operand(other):
-                        if fragility.is_fragile(literal.value):
+                        if _is_fragile(literal.value):
                             fragile.append(FragileLiteral("equal", literal.value))
                         break
             visit(expr.left)
@@ -305,14 +283,12 @@ def classify_predicates(
     return PredicateReport(contains_count, equal_count, tuple(fragile))
 
 
-def classify_sequence(
-    sequence: ActionSequence, fragility: FragilityConfig = DEFAULT_FRAGILITY
-) -> PredicateReport:
+def classify_sequence(sequence: ActionSequence) -> PredicateReport:
     """Merged predicate report over every step of a sequence."""
     report = PredicateReport(0, 0, ())
     for step in sequence.steps:
         try:
-            report = report.merged(classify_predicates(step, fragility))
+            report = report.merged(classify_predicates(step))
         except InvalidXPathError:
             continue
     return report

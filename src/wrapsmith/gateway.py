@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import json
 import os
-import re
 import threading
 import time
 import urllib.error
@@ -198,19 +197,20 @@ def _loads_lenient(candidate: str):
         return json.loads(candidate)
     except json.JSONDecodeError:
         pass
-    cleaned = _strip_hash_comments(candidate)
-    cleaned = re.sub(r",(\s*[}\]])", r"\1", cleaned)
     try:
-        return json.loads(cleaned)
+        return json.loads(_strip_comments_and_trailing_commas(candidate))
     except json.JSONDecodeError:
         return None
 
 
-def _strip_hash_comments(text: str) -> str:
+def _strip_comments_and_trailing_commas(text: str) -> str:
+    """Drop ``#`` end-of-line comments, and commas that only whitespace or
+    comments separate from a closing ``}`` or ``]``; string contents stay."""
     out: list[str] = []
     i, n = 0, len(text)
     in_string: Optional[str] = None
     escaped = False
+    comma = -1  # index in ``out`` of a comma that may be trailing
     while i < n:
         ch = text[i]
         if in_string:
@@ -223,16 +223,20 @@ def _strip_hash_comments(text: str) -> str:
                 in_string = None
             i += 1
             continue
-        if ch in "\"'":
-            in_string = ch
-            out.append(ch)
-            i += 1
-        elif ch == "#":
+        if ch == "#":
             while i < n and text[i] != "\n":
                 i += 1
-        else:
-            out.append(ch)
-            i += 1
+            continue
+        if ch in "}]" and comma >= 0:
+            del out[comma]
+        if ch == ",":
+            comma = len(out)
+        elif not ch.isspace():
+            comma = -1
+        if ch in "\"'":
+            in_string = ch
+        out.append(ch)
+        i += 1
     return "".join(out)
 
 
@@ -247,9 +251,9 @@ class _RateLimiter:
         self._stamps: deque[float] = deque()
         self._lock = threading.Lock()
 
-    def acquire(self) -> float:
+    def acquire(self) -> None:
         if self.per_minute <= 0:
-            return self._clock()
+            return
         while True:
             with self._lock:
                 now = self._clock()
@@ -257,7 +261,7 @@ class _RateLimiter:
                     self._stamps.popleft()
                 if len(self._stamps) < self.per_minute:
                     self._stamps.append(now)
-                    return now
+                    return
                 wait = 60.0 - (now - self._stamps[0])
             self._sleep(max(wait, 0.001))
 
@@ -310,7 +314,6 @@ class LlmGateway:
         self._transport = transport
         self._limiter = _RateLimiter(config.rate_limit_per_minute, clock, sleeper)
         self._clock = clock
-        self.request_times: list[float] = []
 
     # -- raw transports ------------------------------------------------------
     def _send(self, template: str, prompt: str) -> str:
@@ -375,8 +378,7 @@ class LlmGateway:
         current_prompt = prompt
         while attempts <= self.config.max_retries:
             attempts += 1
-            stamp = self._limiter.acquire()
-            self.request_times.append(stamp)
+            self._limiter.acquire()
             try:
                 raw = self._send(template, current_prompt)
             except ScriptMiss:

@@ -22,7 +22,7 @@ Any further predicates see that single node. Other steps, including
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain, islice
 from typing import Iterable, Iterator, Optional, Union
@@ -52,11 +52,16 @@ class DocumentNode:
 
 @dataclass(frozen=True)
 class AttributeValue:
-    """An attribute selected by the ``@`` axis."""
+    """An attribute selected by the ``@`` axis.
+
+    Equality and hashing, and so node-set de-duplication, use ``(owner,
+    name)``: of two same-named attributes on one element only the first is
+    selected, as in a browser's DOM.
+    """
 
     owner: ElementNode
     name: str
-    value: str
+    value: str = field(compare=False)
 
 
 XNode = Union[ElementNode, TextNode, DocumentNode, AttributeValue]
@@ -159,9 +164,6 @@ _AXES = {
     "ancestor-or-self", "self", "following-sibling", "preceding-sibling",
     "attribute",
 }
-
-_REVERSE_AXES = {"parent", "ancestor", "ancestor-or-self", "preceding-sibling"}
-
 
 # --------------------------------------------------------------------------
 # Tokenizer
@@ -553,7 +555,7 @@ def _evaluate_step(
     nodes: list[XNode], step: Step, document: DocumentNode
 ) -> list[XNode]:
     gathered: list[XNode] = []
-    seen: set[int] = set()
+    seen: set[XNode] = set()
     predicates = step.predicates
     nth = None
     if predicates and isinstance(predicates[0], Number):
@@ -575,11 +577,8 @@ def _evaluate_step(
                     kept.append(candidate)
             candidates = kept
         for candidate in candidates:
-            key = id(candidate) if not isinstance(candidate, AttributeValue) else (
-                id(candidate.owner), candidate.name
-            )
-            if key not in seen:
-                seen.add(key)
+            if candidate not in seen:
+                seen.add(candidate)
                 gathered.append(candidate)
     gathered.sort(key=_order_key)
     return gathered
@@ -690,7 +689,7 @@ def _evaluate_function(expr: FuncCall, ctx: _Context):
 def _evaluate_paths(expr: Union[Path, UnionExpr], ctx: _Context) -> list[XNode]:
     paths = expr.paths if isinstance(expr, UnionExpr) else (expr,)
     merged: list[XNode] = []
-    seen: set = set()
+    seen: set[XNode] = set()
     for path in paths:
         start: XNode = ctx.document if path.absolute else ctx.node
         nodes: list[XNode] = [start]
@@ -699,11 +698,8 @@ def _evaluate_paths(expr: Union[Path, UnionExpr], ctx: _Context) -> list[XNode]:
             if not nodes:
                 break
         for node in nodes:
-            key = id(node) if not isinstance(node, AttributeValue) else (
-                id(node.owner), node.name
-            )
-            if key not in seen:
-                seen.add(key)
+            if node not in seen:
+                seen.add(node)
                 merged.append(node)
     merged.sort(key=_order_key)
     return merged

@@ -138,15 +138,15 @@ def reference_step_back(tree, proposed, value, instruction, mode, gateway=None):
         climbs += 1
         capped = climbs > cap
         try:
-            outcome = prune(tree, base)
-            root_reached = outcome.root_reached or capped
+            node = prune(tree, base)
+            root_reached = node is tree.root or capped
         except InvalidXPathError:
             root_reached = True
         except (NoMatchError, NotAnElementError):
             if not capped:
                 continue
             root_reached = True
-        candidate = tree if root_reached else outcome.tree
+        candidate = tree if root_reached else tree.subtree(node)
         verdict = judge_contains(
             candidate, value, instruction,
             mode=mode, gateway=gateway if mode is JudgeMode.LLM else None,

@@ -32,9 +32,9 @@ class TestCompression:
             "t",
         )
         from wrapsmith.dom import measure
-        from wrapsmith.executor import eval_node
+        from wrapsmith.executor import prune
 
-        pruned = eval_node(page, "//div[@class='x']")
+        pruned = page.subtree(prune(page, "//div[@class='x']"))
         token_ratio, height_ratio = compression_ratios(page, pruned)
         assert token_ratio == measure(pruned).token_count / measure(page).token_count
         assert height_ratio == measure(pruned).height / measure(page).height

@@ -422,6 +422,39 @@ class TestMalformedInputs:
         error = json.loads(capsys.readouterr().err.strip())
         assert error["error"] == "DatasetError"
 
+    @pytest.mark.parametrize("command, missing", [
+        ("synthesize", "seeds"),
+        ("run", "provenance"),
+        ("eval", "pages"),
+        ("analyze", "provenance"),
+    ])
+    def test_record_missing_a_key_is_data_error(self, tmp_path, capsys, command, missing):
+        sequence = ActionSequence(("//b/text()",), Provenance("p1", "progressive")).to_record()
+        record = {
+            "synthesize": {"case_id": "d__w__a", "instruction": "i", "seeds": []},
+            "run": {"case_id": "d__w__a", "sequence": sequence},
+            "eval": {"case_id": "d__w__a", "pages": {}},
+            "analyze": {"case_id": "d__w__a", "sequence": sequence},
+        }[command]
+        del (sequence if missing == "provenance" else record)[missing]
+        data, cases = tmp_path / "data", tmp_path / "cases"
+        (data / "candidates").mkdir(parents=True)
+        cases.mkdir()
+        dump_json({"corpus_root": str(tmp_path)}, data / "_meta.json")
+        dump_json({"corpus_root": str(tmp_path)}, cases / "_meta.json")
+        case = WebpageCase("d", "w", "a", "i", (PageRecord("p1", "p1.html", ("v",)),))
+        dump_json(case.to_record(), cases / f"{case.case_id}.json")
+        dump_json(record, (data / "candidates" if command == "synthesize" else data) / "c.json")
+        args = {
+            "synthesize": ("--candidates", data),
+            "run": ("--sequences", data, "--cases", cases),
+            "eval": ("--results", data, "--cases", cases),
+            "analyze": ("--traces", data / "candidates", "--sequences", data),
+        }[command]
+        assert run_cli(command, *args, "--out", tmp_path / "out") == 3
+        error = json.loads(capsys.readouterr().err.strip())
+        assert error["error"] == "DatasetError"
+
     def test_deeply_nested_page_is_data_error(self, tmp_path, capsys):
         page = tmp_path / "deep.html"
         page.write_text("<ul>" + "<li>x" * 1200 + "</ul>", encoding="utf-8")

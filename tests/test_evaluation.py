@@ -9,8 +9,13 @@ from wrapsmith.evaluation import (
     Label,
     aggregate,
     classify_case,
-    score_page,
 )
+
+
+def score_page(extracted, gold):
+    """Precision and recall of the one page of a one-page case."""
+    page = classify_case("case", [(extracted, gold)]).pages[0]
+    return page.precision, page.recall
 
 
 class TestScorePage:

@@ -4,20 +4,17 @@ from wrapsmith.dom import measure, parse_html
 from wrapsmith.executor import (
     ActionSequence,
     ExtractionStatus,
-    FragilityConfig,
     InvalidXPathError,
     NoMatchError,
     NotAnElementError,
     Provenance,
     classify_predicates,
     classify_sequence,
-    eval_node,
     eval_text,
     extract,
     normalize_value,
     normalize_values,
     prune,
-    run_sequence,
 )
 
 PROV = Provenance("seed-1", "progressive")
@@ -60,68 +57,75 @@ class TestEvalNode:
         tree = parse_html(
             "<body><div class='x'><p>v</p></div><div class='x'><p>w</p></div></body>", "t"
         )
-        sub = eval_node(tree, "//div[@class='x']")
-        assert sub.to_html() == '<div class="x"><p>v</p></div>'
+        node = prune(tree, "//div[@class='x']")
+        assert node is tree.root.element_children[0]
+        assert tree.subtree(node).to_html() == '<div class="x"><p>v</p></div>'
 
     def test_parent_step(self):
         tree = parse_html("<div><span>v</span></div>", "t")
-        sub = eval_node(tree, "//div/span/..")
-        assert sub.root.tag == "div"
+        assert prune(tree, "//div/span/..") is tree.root
 
     def test_no_match_raises(self):
         tree = parse_html("<div><p>x</p></div>", "t")
         with pytest.raises(NoMatchError):
-            eval_node(tree, "//section")
+            prune(tree, "//section")
 
     def test_text_match_raises_not_an_element(self):
         tree = parse_html("<div><p>x</p></div>", "t")
         with pytest.raises(NotAnElementError):
-            eval_node(tree, "//p/text()")
+            prune(tree, "//p/text()")
 
     def test_invalid_raises(self):
         tree = parse_html("<div><p>x</p></div>", "t")
         with pytest.raises(InvalidXPathError):
-            eval_node(tree, "//div[")
+            prune(tree, "//div[")
 
     def test_root_parent_is_noop_with_signal(self):
         tree = parse_html("<div><p>x</p></div>", "t")
-        outcome = prune(tree, "//div/..")
-        assert outcome.root_reached
-        assert outcome.tree is tree
+        assert prune(tree, "//div/..") is tree.root
+        assert prune(tree, "/") is tree.root
 
     def test_metrics_shrink_along_pruning(self):
         tree = parse_html(
             "<html><body><div class='x'><p>v</p></div><p>junk</p></body></html>", "t"
         )
-        sub = eval_node(tree, "//div[@class='x']")
+        sub = tree.subtree(prune(tree, "//div[@class='x']"))
         assert measure(sub).token_count < measure(tree).token_count
 
 
 class TestRunSequence:
     def test_single_step_equals_eval_text(self, player_page):
         expression = "//span[@class='val']/text()"
-        assert run_sequence(player_page, seq(expression)) == eval_text(player_page, expression)
+        assert extract(player_page, seq(expression)) == eval_text(player_page, expression)
 
     def test_prune_then_extract_matches_compound(self, player_page):
-        split = run_sequence(
+        split = extract(
             player_page, seq("//div[@class='hrow']", "//span[@class='val']/text()")
         )
         compound = eval_text(player_page, "//div[@class='hrow']//span[@class='val']/text()")
         assert split.values == compound.values == ("6-9",)
 
     def test_failing_prune_reports_step_index(self, player_page):
-        result = run_sequence(player_page, seq("//section", "//p/text()"))
+        result = extract(player_page, seq("//section", "//p/text()"))
         assert result.status is ExtractionStatus.NO_MATCH
         assert result.failed_step == 0
 
     def test_invalid_step_reports_index(self, player_page):
-        result = run_sequence(player_page, seq("//div[@class='hrow']", "//p["))
+        result = extract(player_page, seq("//div[@class='hrow']", "//p["))
         assert result.status is ExtractionStatus.INVALID_XPATH
         assert result.failed_step == 1
 
-    def test_empty_sequence_rejected(self, player_page):
-        with pytest.raises(ValueError):
-            run_sequence(player_page, seq())
+    def test_pruning_to_the_root_keeps_the_tree(self, player_page, monkeypatch):
+        copies = []
+        original = type(player_page).subtree
+        monkeypatch.setattr(
+            type(player_page), "subtree",
+            lambda tree, node: copies.append(node.tag) or original(tree, node),
+        )
+        result = extract(player_page, seq("/html", "//body/..", "//div[@class='hrow']",
+                                          "//span/text()"))
+        assert result.values == ("6-9",)
+        assert copies == ["div"]
 
     def test_extract_treats_empty_sequence_as_absence(self, player_page):
         result = extract(player_page, seq())
@@ -132,10 +136,10 @@ class TestRunSequence:
         tree = player_page
         tokens = [measure(tree).token_count]
         for step in sequence.pruning_steps:
-            tree = eval_node(tree, step)
+            tree = tree.subtree(prune(tree, step))
             tokens.append(measure(tree).token_count)
         assert tokens == sorted(tokens, reverse=True)
-        assert run_sequence(player_page, sequence).values == ("6-9",)
+        assert extract(player_page, sequence).values == ("6-9",)
 
 
 class TestSerialization:
@@ -187,10 +191,12 @@ class TestClassifyPredicates:
         )
         assert report.fragile
 
-    def test_threshold_configurable(self):
-        lax = FragilityConfig(min_digit_run=12, max_literal_len=200)
-        report = classify_predicates("//h5[contains(text(), '703-528-7809')]", lax)
-        assert not report.fragile
+    def test_fragility_thresholds(self):
+        def fragile(literal):
+            return classify_predicates(f"//p[contains(text(), '{literal}')]").fragile
+
+        assert not fragile("ab123") and fragile("ab1234")
+        assert not fragile("x" * 20) and fragile("x" * 21)
 
     def test_invalid_xpath_raises(self):
         with pytest.raises(InvalidXPathError):

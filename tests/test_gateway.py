@@ -38,6 +38,10 @@ class TestJsonExtraction:
         raw = '{\n "value": "v", # the value\n "xpath": "//p",\n}'
         assert extract_json_object(raw) == {"value": "v", "xpath": "//p"}
 
+    def test_trailing_comma_removal_leaves_strings_alone(self):
+        raw = '{"value": "a, }", "list": ["b, ]", "c",], # d,\n "xpath": "//b",}'
+        assert extract_json_object(raw) == {"value": "a, }", "list": ["b, ]", "c"], "xpath": "//b"}
+
     def test_nested_and_string_braces(self):
         raw = 'x {"a": {"b": "}{"}, "c": [1, 2]} y'
         assert extract_json_object(raw) == {"a": {"b": "}{"}, "c": [1, 2]}
@@ -131,16 +135,16 @@ class TestRateLimiter:
             sleeps.append(duration)
             clock["now"] += duration
 
+        stamps = []
+
+        def transport(template, prompt):
+            stamps.append(clock["now"])
+            return '{"xpath": "//p"}'
+
         config = BackendConfig(kind=BackendKind.SCRIPTED, rate_limit_per_minute=3)
-        gateway = LlmGateway(
-            config,
-            transport=lambda t, p: '{"xpath": "//p"}',
-            clock=fake_clock,
-            sleeper=fake_sleep,
-        )
+        gateway = LlmGateway(config, transport=transport, clock=fake_clock, sleeper=fake_sleep)
         for _ in range(7):
             gateway.complete("crawler", ["instr", "<p>x</p>"])
-        stamps = gateway.request_times
         assert len(stamps) == 7
         for i in range(len(stamps)):
             window = [s for s in stamps if stamps[i] <= s < stamps[i] + 60.0]
@@ -148,10 +152,16 @@ class TestRateLimiter:
         assert sleeps  # the limiter actually had to wait
 
     def test_zero_rate_means_unlimited(self):
-        gateway = make_gateway(lambda t, p: '{"xpath": "//p"}')
+        sent, sleeps = [], []
+        config = BackendConfig(kind=BackendKind.SCRIPTED, rate_limit_per_minute=0)
+        gateway = LlmGateway(
+            config,
+            transport=lambda t, p: sent.append(p) or '{"xpath": "//p"}',
+            sleeper=sleeps.append,
+        )
         for _ in range(5):
             gateway.complete("crawler", ["instr", "<p>x</p>"])
-        assert len(gateway.request_times) == 5
+        assert len(sent) == 5 and sleeps == []
 
 
 class _ChatHandler(BaseHTTPRequestHandler):

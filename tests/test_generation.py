@@ -7,7 +7,7 @@ import pytest
 from conftest import json_answer, make_gateway
 from oracles import random_page_html, random_simple_xpath, reference_step_back
 from wrapsmith.dom import measure, parse_html, preprocess
-from wrapsmith.executor import run_sequence
+from wrapsmith.executor import extract
 from wrapsmith.gateway import JudgeMode
 from wrapsmith.generation import (
     GenerationTrace,
@@ -49,7 +49,7 @@ class TestProgressive:
         assert sequence.steps[0].endswith("/../..")
         assert [s.decision for s in trace.steps] == ["stepback(2)", "accept"]
         # Replaying the sequence on the original page reproduces the value.
-        assert run_sequence(player_page, sequence).values == ("6-9",)
+        assert extract(player_page, sequence).values == ("6-9",)
 
     def test_always_wrong_fails_after_exactly_dmax(self, player_page):
         calls = []
@@ -166,7 +166,7 @@ class TestStepBackUnions:
         sequence, trace = generate(page, "height", make_gateway(transport), progressive_cfg())
         assert [s.decision for s in trace.steps] == ["stepback(4)", "accept"]
         assert sequence.steps == ("//a | //b/../../../..", "//span/text()")
-        assert run_sequence(page, sequence).values == ("6-9",)
+        assert extract(page, sequence).values == ("6-9",)
 
     def test_union_with_a_fixed_wrong_node_ends_at_the_root(self):
         # //nosuch/.. never climbs, and the first <p> does not hold the
@@ -190,7 +190,7 @@ def _step_back_cases(rng, pages):
     for index in range(pages):
         tree = preprocess(parse_html(random_page_html(rng), f"page-{index}"))
         words = tree.text_content().split() or ["x"]
-        elements = list(tree.iter_elements())
+        elements = list(tree.root.iter_elements())
 
         def path():
             if rng.random() < 0.3:

@@ -77,6 +77,11 @@ class TestSelection:
         assert values == ["a b"]
         assert all(isinstance(n, AttributeValue) for n in evaluate(tree, "//p/@class"))
 
+    def test_repeated_attribute_counts_once(self):
+        tree = tree_of('<div><a class="x" class="y">v</a></div>')
+        assert [n.value for n in evaluate(tree, "//a/@class")] == ["x"]
+        assert evaluate(tree, "//a[@class='y']") == []
+
     def test_wildcard(self):
         tree = tree_of("<div><p>a</p><span>b</span></div>")
         assert [n.tag for n in evaluate(tree, "//div/*")] == ["p", "span"]
@@ -235,7 +240,7 @@ class TestOracleEquivalence:
 def test_parent_append_selects_parent(seed):
     rng = random.Random(seed)
     tree = parse_html(random_page_html(rng), f"fuzz-{seed}")
-    elements = [el for el in tree.iter_elements() if el.parent is not None]
+    elements = [el for el in tree.root.iter_elements() if el.parent is not None]
     if not elements:
         return
     target = rng.choice(elements)
