@@ -1,54 +1,20 @@
-"""Diagnostics over finished runs: pruning compression, sequence length
-statistics, predicate fragility tallies, and the break-even page count at
-which generating a rule beats asking the model page by page."""
+"""Diagnostics over finished runs: sequence length statistics, predicate
+fragility tallies, and the break-even page count at which generating a rule
+beats asking the model page by page. Pruning compression needs no replay:
+``analyze`` reads it from the tree size each trace step records."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional
 
-from .dom import DocumentTree, measure
-from .executor import ActionSequence, classify_sequence, prune
+from .executor import ActionSequence, classify_sequence
 from .generation import GenerationTrace
-
-
-class ZeroOrigin(ValueError):
-    """Original tree serializes to zero tokens; ratios are undefined."""
 
 
 class NoBreakeven(ValueError):
     """Direct extraction is at least as fast per page; no finite threshold."""
-
-
-def compression_ratios(
-    original: DocumentTree, pruned: DocumentTree
-) -> tuple[float, float]:
-    """(token ratio, height ratio) of a pruned tree vs its source, in (0, 1]."""
-    base = measure(original)
-    if base.token_count == 0:
-        raise ZeroOrigin(original.source_id)
-    after = measure(pruned)
-    return (
-        after.token_count / base.token_count,
-        after.height / base.height,
-    )
-
-
-def compression_curve(
-    page: DocumentTree, sequence: ActionSequence
-) -> list[tuple[float, float]]:
-    """Ratios after each pruning step of a sequence, in order.
-
-    The empty list means the sequence prunes nothing (length <= 1).
-    Execution errors propagate; callers pass sequences known to run.
-    """
-    curve: list[tuple[float, float]] = []
-    tree = page
-    for step in sequence.pruning_steps:
-        tree = tree.subtree(prune(tree, step))
-        curve.append(compression_ratios(page, tree))
-    return curve
 
 
 @dataclass(frozen=True)
@@ -97,7 +63,6 @@ class CostModelParams:
     t_synthesize: float = 0.0
     t_execute: float = 0.0
     t_direct: float = 0.0
-    d_max: int = 5
 
 
 def breakeven_pages(params: CostModelParams) -> int:

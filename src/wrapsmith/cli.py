@@ -14,7 +14,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple
 from pathlib import Path
-from typing import Callable, Optional, TypeVar
+from typing import Optional
 
 from . import analysis, fixtures
 from .dataset import (
@@ -25,6 +25,7 @@ from .dataset import (
     derive_seed,
     dump_json,
     load_case,
+    read_record,
 )
 from .dom import DocumentTree, DomError, parse_html, preprocess
 from .evaluation import aggregate, classify_case
@@ -47,32 +48,21 @@ def _error_record(kind: str, detail: str) -> None:
     print(json.dumps({"error": kind, "detail": detail}), file=sys.stderr)
 
 
-def _load_meta(directory: Path) -> dict:
+def _load_meta(directory: Path) -> tuple[dict, Path]:
+    """A stage directory's ``_meta.json`` record and the corpus root it names."""
     meta_path = directory / "_meta.json"
     if not meta_path.exists():
         raise DatasetError(f"missing _meta.json in {directory}")
-    return json.loads(meta_path.read_text(encoding="utf-8"))
+    return read_record(meta_path, lambda meta: (meta, Path(meta["corpus_root"])))
 
 
 def _case_files(directory: Path) -> list[Path]:
     return sorted(p for p in directory.glob("*.json") if not p.name.startswith("_"))
 
 
-T = TypeVar("T")
-
-
-def _read_record(path: Path, decode: Callable[[dict], T]) -> T:
-    """Read a JSON file and decode it; a missing or ill-typed field is a data error."""
-    record = json.loads(path.read_text(encoding="utf-8"))
-    try:
-        return decode(record)
-    except (KeyError, TypeError, AttributeError) as exc:
-        raise DatasetError(f"malformed record {path}: {type(exc).__name__}: {exc}") from exc
-
-
 def _load_trace(path: Path) -> GenerationTrace:
     """Read a trace file; a missing or ill-typed field is a data error."""
-    trace = _read_record(path, GenerationTrace.from_record)
+    trace = read_record(path, GenerationTrace.from_record)
     steps = trace.sequence.steps if trace.sequence is not None else ()
     texts = [trace.page_id, trace.html_path, *steps]
     sizes = [n for step in trace.steps for n in astuple(step.metrics_before)]
@@ -180,8 +170,7 @@ def _generate_case(
 
 def cmd_generate(args: argparse.Namespace) -> int:
     cases_dir = Path(args.cases)
-    meta = _load_meta(cases_dir)
-    corpus_root = Path(meta["corpus_root"])
+    meta, corpus_root = _load_meta(cases_dir)
     out = Path(args.out)
     (out / "candidates").mkdir(parents=True, exist_ok=True)
     (out / "traces").mkdir(parents=True, exist_ok=True)
@@ -225,8 +214,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 def cmd_synthesize(args: argparse.Namespace) -> int:
     candidates_dir = Path(args.candidates)
-    meta = _load_meta(candidates_dir)
-    corpus_root = Path(meta["corpus_root"])
+    meta, corpus_root = _load_meta(candidates_dir)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     gateway: Optional[LlmGateway] = None
@@ -239,7 +227,7 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
     seed_trees: dict[tuple[str, str], DocumentTree] = {}
     for path in _case_files(candidates_dir / "candidates"):
         (case_id, instruction, candidates, seed_ids, keys,
-         seed_values, gold_values) = _read_record(path, _decode_candidates)
+         seed_values, gold_values) = read_record(path, _decode_candidates)
         # Consecutive cases of one website often draw the same seed pages:
         # keep the trees this case shares with the previous one, drop the
         # rest before parsing new ones, so at most one case's seeds are live.
@@ -286,8 +274,7 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
 def cmd_run(args: argparse.Namespace) -> int:
     sequences_dir = Path(args.sequences)
     cases_dir = Path(args.cases)
-    meta = _load_meta(cases_dir)
-    corpus_root = Path(meta["corpus_root"])
+    meta, corpus_root = _load_meta(cases_dir)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -297,7 +284,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     groups: dict[tuple[str, str], list[Job]] = {}
     files = _case_files(sequences_dir)
     for path in files:
-        case_id, sequence = _read_record(path, _decode_chosen)
+        case_id, sequence = read_record(path, _decode_chosen)
         case = load_case(cases_dir / f"{case_id}.json")
         groups.setdefault((case.domain, case.website), []).append(
             (path.name, case_id, sequence, case)
@@ -339,7 +326,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     cases_dir = Path(args.cases)
     outcomes = []
     for path in _case_files(results_dir):
-        case_id, values = _read_record(path, _decode_results)
+        case_id, values = read_record(path, _decode_results)
         case = load_case(cases_dir / f"{case_id}.json")
         pages = []
         for page_record in case.pages:
@@ -376,7 +363,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
     sequences = []
     for path in _case_files(sequences_dir):
-        _, sequence = _read_record(path, _decode_chosen)
+        _, sequence = read_record(path, _decode_chosen)
         if sequence is not None:
             sequences.append(sequence)
     fragility = analysis.fragility_report(sequences)
@@ -411,7 +398,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         t_synthesize=args.ts if args.ts is not None else args.td,
         t_execute=args.te,
         t_direct=args.td,
-        d_max=args.dmax,
     )
     try:
         threshold = analysis.breakeven_pages(params)

@@ -16,6 +16,7 @@ import os
 import random
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Any, Callable, TypeVar
 
 from .dom import normalize_escapes
 
@@ -307,9 +308,20 @@ def dump_json(record, path: str | Path) -> None:
     os.replace(tmp, path)
 
 
+T = TypeVar("T")
+
+
+def read_record(path: str | Path, decode: Callable[[Any], T]) -> T:
+    """Read a JSON file and decode it; a missing or ill-typed field is a data error."""
+    record = json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        return decode(record)
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise DatasetError(f"malformed record {path}: {type(exc).__name__}: {exc}") from exc
+
+
 def load_case(path: str | Path) -> WebpageCase:
     try:
-        record = json.loads(Path(path).read_text(encoding="utf-8"))
+        return read_record(path, case_from_record)
     except json.JSONDecodeError as exc:
         raise SchemaViolation(f"case file is not valid JSON: {exc}") from exc
-    return case_from_record(record)

@@ -3,11 +3,11 @@
 Pages arrive as messy real-world HTML, so parsing is forgiving: unclosed
 tags, stray end tags and character references are all absorbed. The result
 is an immutable tree that downstream stages can share freely across
-threads. Cleanup strips ``script``/``style`` subtrees, comments, and every
-attribute except ``class``. Size metrics (token count, tree height) are
-taken over the serialization's parts, in which each tag is its own
-whitespace-delimited token, which keeps both measures monotone under
-pruning.
+threads, and a pruned tree is a view that shares its page's nodes. Cleanup
+strips ``script``/``style`` subtrees, comments, and every attribute except
+``class``. Size metrics (token count, tree height) are taken over the
+serialization's parts, in which each tag is its own whitespace-delimited
+token, which keeps both measures monotone under pruning.
 """
 
 from __future__ import annotations
@@ -74,8 +74,8 @@ class CommentNode:
 class ElementNode:
     """An element with ordered children and an attribute list.
 
-    Nodes are frozen once their :class:`DocumentTree` is built; pruning or
-    preprocessing always produces fresh nodes.
+    Nodes are frozen once their :class:`DocumentTree` is built. Pruning
+    shares them; preprocessing produces fresh nodes.
     """
 
     __slots__ = ("tag", "attrs", "children", "parent", "order")
@@ -123,11 +123,6 @@ class ElementNode:
             if isinstance(node, ElementNode):
                 stack.extend(reversed(node.children))
 
-    def iter_elements(self) -> Iterator["ElementNode"]:
-        for node in self.iter_nodes():
-            if isinstance(node, ElementNode):
-                yield node
-
     def __repr__(self) -> str:
         cls = f" class={self.class_attr!r}" if self.class_attr else ""
         return f"<ElementNode {self.tag}{cls} children={len(self.children)}>"
@@ -147,7 +142,8 @@ class TreeMetrics:
 
 
 class DocumentTree:
-    """A parsed page: one root element plus an opaque source identifier."""
+    """A parsed page, or a pruned view of one: a root element plus an opaque
+    source identifier."""
 
     __slots__ = ("root", "source_id")
 
@@ -169,8 +165,8 @@ class DocumentTree:
         return self.root.text_content()
 
     def subtree(self, element: ElementNode) -> "DocumentTree":
-        """Fresh tree rooted at a copy of ``element``; never aliases nodes."""
-        return DocumentTree.from_root(_copy_node(element), self.source_id)
+        """A view rooted at ``element`` that shares this tree's nodes."""
+        return DocumentTree(element, self.source_id)
 
     def __repr__(self) -> str:
         return f"<DocumentTree {self.source_id!r} root={self.root.tag!r}>"
@@ -179,7 +175,6 @@ class DocumentTree:
 def _freeze(root: ElementNode) -> None:
     order = 0
     stack: list[Node] = [root]
-    root.parent = None
     while stack:
         node = stack.pop()
         node.order = order
@@ -188,14 +183,6 @@ def _freeze(root: ElementNode) -> None:
             for child in node.children:
                 child.parent = node
             stack.extend(reversed(node.children))
-
-
-def _copy_node(node: Node) -> Node:
-    if isinstance(node, TextNode):
-        return TextNode(node.text)
-    if isinstance(node, CommentNode):
-        return CommentNode(node.text)
-    return ElementNode(node.tag, node.attrs, tuple(_copy_node(c) for c in node.children))
 
 
 def _escape_text(text: str) -> str:

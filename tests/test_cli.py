@@ -455,6 +455,35 @@ class TestMalformedInputs:
         error = json.loads(capsys.readouterr().err.strip())
         assert error["error"] == "DatasetError"
 
+    @pytest.mark.parametrize("command, broken", [
+        ("generate", "corpus_root"),
+        ("synthesize", "corpus_root"),
+        ("run", "corpus_root"),
+        ("generate", "gold"),
+    ])
+    def test_meta_or_case_with_a_bad_field_is_data_error(
+        self, tmp_path, capsys, synthetic_corpus, command, broken
+    ):
+        # A _meta.json without its corpus root, or a case whose gold is no list.
+        data, cases = tmp_path / "data", tmp_path / "cases"
+        data.mkdir()
+        cases.mkdir()
+        meta = {} if broken == "corpus_root" else {"corpus_root": str(tmp_path)}
+        dump_json(meta, data / "_meta.json")
+        dump_json(meta, cases / "_meta.json")
+        record = WebpageCase("d", "w", "a", "i", (PageRecord("p1", "p1.html", ("v",)),)).to_record()
+        if broken == "gold":
+            record["pages"][0]["gold"] = 5
+        dump_json(record, cases / "d__w__a.json")
+        args = {
+            "generate": ("--cases", cases, "--backend", synthetic_corpus.backend_path),
+            "synthesize": ("--candidates", data),
+            "run": ("--sequences", data, "--cases", cases),
+        }[command]
+        assert run_cli(command, *args, "--out", tmp_path / "out") == 3
+        error = json.loads(capsys.readouterr().err.strip())
+        assert error["error"] == "DatasetError"
+
     def test_deeply_nested_page_is_data_error(self, tmp_path, capsys):
         page = tmp_path / "deep.html"
         page.write_text("<ul>" + "<li>x" * 1200 + "</ul>", encoding="utf-8")

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import random_page_html
+from oracles import elements, random_page_html
 from wrapsmith.dom import (
     CommentNode,
     ElementNode,
@@ -15,6 +15,7 @@ from wrapsmith.dom import (
     parse_html,
     preprocess,
 )
+from wrapsmith.xpath import DocumentNode, evaluate
 
 
 def shape(tree):
@@ -102,7 +103,7 @@ class TestPreprocess:
             "t",
         )
         clean = preprocess(tree)
-        assert all(el.tag not in ("script", "style") for el in clean.root.iter_elements())
+        assert all(el.tag not in ("script", "style") for el in elements(clean.root))
         assert clean.text_content() == "x"
 
     def test_only_class_attribute_kept(self):
@@ -140,9 +141,9 @@ class TestPreprocess:
 
     def test_original_tree_untouched(self):
         tree = parse_html('<div id="a"><script>s</script><p>x</p></div>', "t")
-        tags_before = [el.tag for el in tree.root.iter_elements()]
+        tags_before = [el.tag for el in elements(tree.root)]
         preprocess(tree)
-        assert [el.tag for el in tree.root.iter_elements()] == tags_before
+        assert [el.tag for el in elements(tree.root)] == tags_before
 
 
 class TestMeasure:
@@ -166,7 +167,7 @@ class TestMeasure:
             '<html><body><div class="x"><p>v</p><p>w</p></div><p>t</p></body></html>', "t"
         )
         whole = measure(tree)
-        for el in tree.root.iter_elements():
+        for el in elements(tree.root):
             sub = measure(tree.subtree(el))
             assert sub.token_count <= whole.token_count
             assert sub.height <= whole.height
@@ -177,20 +178,27 @@ class TestMeasure:
 
 
 class TestSubtree:
-    def test_subtree_is_fresh_copy(self):
-        tree = parse_html('<div><span class="s">x</span></div>', "t")
-        span = next(el for el in tree.root.iter_elements() if el.tag == "span")
+    def test_subtree_is_a_view(self):
+        tree = parse_html('<div><p>a</p><span class="s">x</span></div>', "t")
+        span = next(el for el in elements(tree.root) if el.tag == "span")
         sub = tree.subtree(span)
-        assert sub.root is not span
-        assert sub.root.parent is None
+        assert sub.root is span and sub.source_id == "t"
         assert sub.to_html() == '<span class="s">x</span>'
+        # The view ends at its root although ``span.parent`` is the div.
+        assert span.parent is tree.root
+        [document] = evaluate(sub, "/span/..")
+        assert isinstance(document, DocumentNode) and document.root is span
+        assert evaluate(sub, "//span/../..") == []
+        assert evaluate(sub, "//span/ancestor::*") == []
+        assert evaluate(sub, "//span/preceding-sibling::*") == []
+        assert evaluate(sub, "//*") == [span]
 
     def test_subtree_nodes_subset_of_source(self):
         tree = parse_html("<div><p>a</p><p>b</p></div>", "t")
         source_ids = {id(n) for n in tree.root.iter_nodes()}
         p = tree.root.element_children[0]
         for node in tree.subtree(p).root.iter_nodes():
-            assert id(node) not in source_ids  # copies, not aliases
+            assert id(node) in source_ids  # shared, not copied
 
 
 def test_normalize_escapes():

@@ -104,6 +104,10 @@ class TestRunSequence:
         )
         compound = eval_text(player_page, "//div[@class='hrow']//span[@class='val']/text()")
         assert split.values == compound.values == ("6-9",)
+        # Steps that keep the root, including a climb past it, change nothing.
+        kept = extract(player_page, seq("/html", "//body/..", "//div[@class='hrow']",
+                                        "//span[@class='val']/text()"))
+        assert kept == split
 
     def test_failing_prune_reports_step_index(self, player_page):
         result = extract(player_page, seq("//section", "//p/text()"))
@@ -114,18 +118,6 @@ class TestRunSequence:
         result = extract(player_page, seq("//div[@class='hrow']", "//p["))
         assert result.status is ExtractionStatus.INVALID_XPATH
         assert result.failed_step == 1
-
-    def test_pruning_to_the_root_keeps_the_tree(self, player_page, monkeypatch):
-        copies = []
-        original = type(player_page).subtree
-        monkeypatch.setattr(
-            type(player_page), "subtree",
-            lambda tree, node: copies.append(node.tag) or original(tree, node),
-        )
-        result = extract(player_page, seq("/html", "//body/..", "//div[@class='hrow']",
-                                          "//span/text()"))
-        assert result.values == ("6-9",)
-        assert copies == ["div"]
 
     def test_extract_treats_empty_sequence_as_absence(self, player_page):
         result = extract(player_page, seq())

@@ -6,6 +6,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 import pytest
 
 from conftest import make_gateway
+from oracles import reference_json_object
 from wrapsmith.dom import parse_html
 from wrapsmith.gateway import (
     AuthFailure,
@@ -53,6 +54,30 @@ class TestJsonExtraction:
     def test_garbage_returns_none(self):
         assert extract_json_object("no object here") is None
         assert extract_json_object("{broken") is None
+
+    def test_quote_or_brace_in_a_comment_is_ignored(self):
+        raw = '{"value": "6-9", # it\'s the height\n "xpath": "//b"}'
+        assert extract_json_object(raw) == {"value": "6-9", "xpath": "//b"}
+        raw = '{"value": "v", # note }\n "xpath": "//b", # and { one\n}'
+        assert extract_json_object(raw) == {"value": "v", "xpath": "//b"}
+
+    def test_fuzz_matches_two_pass_recovery(self):
+        # Only a comment, or a span the two-pass recovery gave up on, may
+        # change the result.
+        rng = random.Random(5)
+        pieces = ['{', '}', '[', ']', '"', "'", ',', ':', ' ', '\n', '\\', '#', '"k"',
+                  '"v, }"', '1', 'x', '# it\'s }\n', '# {\n', ', }', ',]']
+        compared = 0
+        for _ in range(20_000):
+            raw = "".join(rng.choice(pieces) for _ in range(rng.randint(0, 16)))
+            if rng.random() < 0.5:
+                raw = "{" + raw
+            expected, span = reference_json_object(raw)
+            if expected is None or "#" in span:
+                continue
+            assert extract_json_object(raw) == expected, raw
+            compared += 1
+        assert compared > 1000
 
     def test_fuzz_wrapped_objects(self):
         rng = random.Random(11)

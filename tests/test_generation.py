@@ -5,7 +5,7 @@ import random
 import pytest
 
 from conftest import json_answer, make_gateway
-from oracles import random_page_html, random_simple_xpath, reference_step_back
+from oracles import elements, random_page_html, random_simple_xpath, reference_step_back
 from wrapsmith.dom import measure, parse_html, preprocess
 from wrapsmith.executor import extract
 from wrapsmith.gateway import JudgeMode
@@ -190,12 +190,12 @@ def _step_back_cases(rng, pages):
     for index in range(pages):
         tree = preprocess(parse_html(random_page_html(rng), f"page-{index}"))
         words = tree.text_content().split() or ["x"]
-        elements = list(tree.root.iter_elements())
+        page_elements = elements(tree.root)
 
         def path():
             if rng.random() < 0.3:
                 return random_simple_xpath(rng) + rng.choice(_STEP_BACK_TAILS)
-            element = rng.choice(elements)  # a path that selects something
+            element = rng.choice(page_elements)  # a path that selects something
             step = element.tag
             if element.class_attr and rng.random() < 0.5:
                 step += f"[@class='{element.class_attr}']"

@@ -28,3 +28,25 @@ def test_every_exported_name_resolves():
     assert wrapsmith.__all__
     missing = [name for name in wrapsmith.__all__ if not hasattr(wrapsmith, name)]
     assert missing == []
+
+
+def test_only_dom_links_nodes():
+    # Pruned trees are views that share their page's nodes, so no module
+    # but ``dom`` may rewrite a node's links.
+    linking = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "dom.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign, ast.Delete)):
+                targets = getattr(node, "targets", None) or [node.target]
+            else:
+                continue
+            linking += [
+                f"{path.name}:{node.lineno} .{t.attr}"
+                for target in targets for t in ast.walk(target)
+                if isinstance(t, ast.Attribute) and t.attr in ("parent", "order", "children")
+            ]
+    assert linking == []

@@ -5,6 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    copied_subtree,
+    elements,
     et_findall,
     mirror_etree,
     positional_xpath,
@@ -12,11 +14,13 @@ from oracles import (
     random_simple_xpath,
 )
 from wrapsmith import xpath as xpath_module
-from wrapsmith.dom import parse_html
+from wrapsmith.dom import parse_html, preprocess
 from wrapsmith.executor import normalize_values
 from wrapsmith.xpath import (
     AttributeValue,
+    DocumentNode,
     XPathSyntaxError,
+    climb,
     evaluate,
     parse_xpath,
     string_value,
@@ -240,12 +244,72 @@ class TestOracleEquivalence:
 def test_parent_append_selects_parent(seed):
     rng = random.Random(seed)
     tree = parse_html(random_page_html(rng), f"fuzz-{seed}")
-    elements = [el for el in tree.root.iter_elements() if el.parent is not None]
-    if not elements:
+    below_root = elements(tree.root)[1:]
+    if not below_root:
         return
-    target = rng.choice(elements)
+    target = rng.choice(below_root)
     expression = positional_xpath(target)
     matches = evaluate(tree, expression)
     assert matches == [target]
     parents = evaluate(tree, expression + "/..")
     assert parents == [target.parent]
+
+
+# Expressions that reach the edge of a pruned tree: its root's parent, its
+# ancestors and siblings, and the whole-tree scans.
+VIEW_EXPRESSIONS = [
+    "/", "/..", "/*", "/*/..", "/*/../..", ".", "..",
+    "//*", "//text()", "//node()", "//*/..", "//*/../..", "//p/..", "//text()/..",
+    "//*/ancestor::*", "//*/ancestor-or-self::*", "//div/ancestor::*[1]",
+    "//text()/ancestor::*[2]", "//*/preceding-sibling::*", "//*/following-sibling::*",
+    "//*/following-sibling::node()", "//li/preceding-sibling::*[1]",
+    "/*/preceding-sibling::node()", "/*/following-sibling::*", "//*[not(..)]",
+    "//*[../..]", "//*[count(ancestor::*)=0]", "//*[ancestor::div]/text()",
+    "//*[last()]/..", "//*[@class]/@class", "//*[@class='a']/../*",
+    "//p[contains(., 'alpha')]/..", "//b | //*/..", "//span/../../..",
+    "/descendant::*[1]/parent::node()",
+]
+
+
+def _view_differences(rng, pages, per_page):
+    """Evaluate every expression on a view and on a copy of the same subtree;
+    return the mismatches and the number of evaluations."""
+    differences, evaluations = [], 0
+    for index in range(pages):
+        page = parse_html(random_page_html(rng), f"view-{index}")
+        if index % 2:
+            page = preprocess(page)
+        candidates = elements(page.root)
+        for element in rng.sample(candidates, min(per_page, len(candidates))):
+            view, copy = page.subtree(element), copied_subtree(page, element)
+            to_view = dict(zip(map(id, copy.root.iter_nodes()), view.root.iter_nodes()))
+
+            def key(node, node_of=lambda n: n):
+                """A node of either tree as the view's node it stands for."""
+                if node is None:
+                    return None
+                if isinstance(node, DocumentNode):
+                    return "document"
+                if isinstance(node, AttributeValue):
+                    return (node_of(node.owner), node.name, node.value)
+                return node_of(node)
+
+            def from_copy(node):
+                return key(node, lambda n: to_view[id(n)])
+
+            for expression in VIEW_EXPRESSIONS:
+                evaluations += 1
+                mine = [key(n) for n in evaluate(view, expression)]
+                mine += ["climb"] + [key(n) for n in climb(view, expression)]
+                reference = [from_copy(n) for n in evaluate(copy, expression)]
+                reference += ["climb"] + [from_copy(n) for n in climb(copy, expression)]
+                if mine != reference:
+                    differences.append((page.source_id, element.tag, expression))
+    return differences, evaluations
+
+
+def test_pruned_views_evaluate_like_copies():
+    # Each (page, element, expression) evaluates and climbs on both trees.
+    differences, evaluations = _view_differences(random.Random(9), pages=140, per_page=8)
+    assert evaluations >= 30_000
+    assert differences == []
