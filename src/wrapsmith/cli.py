@@ -12,14 +12,15 @@ import argparse
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import astuple
+from dataclasses import astuple, dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Iterable, Optional, Sequence
 
 from . import analysis, fixtures
 from .dataset import (
     CorpusManifest,
     DatasetError,
+    PageRecord,
     WebpageCase,
     build_cases,
     derive_seed,
@@ -42,6 +43,14 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # type: ignore[override]
         raise UsageError(message)
+
+
+def positive_int(text: str) -> int:
+    """Argparse type for counts: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _error_record(kind: str, detail: str) -> None:
@@ -105,6 +114,61 @@ def _load_page(corpus_root: Path, html_path: str, page_id: str) -> DocumentTree:
     return preprocess(parse_html(raw, page_id))
 
 
+@dataclass
+class _Walk:
+    """One case's pass over its pages: ``visit(i, page)`` for each of
+    ``pages``, in any order, then ``done()``. A ``GatewayError`` from a visit
+    ends the walk: it is kept in ``failure``, the case's remaining pages are
+    skipped and ``done`` is not called."""
+
+    pages: Sequence[PageRecord]
+    visit: Callable[[int, DocumentTree], None]
+    done: Callable[[], None]
+    failure: Optional[GatewayError] = None
+
+
+def _walk_websites(corpus_root: Path, websites: Iterable[list[_Walk]], jobs: int) -> None:
+    """Run the walks of each website, which share its page sample, loading
+    each distinct page once for all of them, one page at a time.
+
+    ``jobs > 1`` runs websites on a thread pool. One job stays on this
+    thread: a worker thread's own malloc arena adds ~0.6 MB to peak RSS on
+    46 KB pages.
+    """
+
+    def walk_website(walks: list[_Walk]) -> None:
+        visits: dict[tuple[str, str], list[tuple[_Walk, int]]] = {}
+        left = {id(walk): len(walk.pages) for walk in walks}
+        for walk in walks:
+            if not walk.pages:
+                walk.done()
+            for index, record in enumerate(walk.pages):
+                visits.setdefault((record.html_path, record.page_id), []).append((walk, index))
+        for (html_path, page_id), page_visits in visits.items():
+            page = _load_page(corpus_root, html_path, page_id)
+            for walk, index in page_visits:
+                if walk.failure is not None:
+                    continue
+                try:
+                    walk.visit(index, page)
+                except GatewayError as exc:
+                    walk.failure = exc  # the other walks still run
+                    continue
+                left[id(walk)] -= 1
+                if not left[id(walk)]:
+                    walk.done()
+            # Drop the page before loading the next. Parent links make it a
+            # reference cycle, so it is freed at the next cyclic collection.
+            del page
+
+    if jobs > 1:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            list(pool.map(walk_website, websites))
+    else:
+        for walks in websites:
+            walk_website(walks)
+
+
 # --------------------------------------------------------------------------
 # Subcommands
 # --------------------------------------------------------------------------
@@ -128,46 +192,6 @@ def cmd_prepare(args: argparse.Namespace) -> int:
     return 0
 
 
-def _generate_case(
-    case: WebpageCase,
-    corpus_root: Path,
-    gateway: LlmGateway,
-    cfg: StrategyConfig,
-    n_seeds: int,
-    base_seed: int,
-    out: Path,
-) -> None:
-    seed_ids = select_seeds(
-        case.page_ids, n_seeds, derive_seed(base_seed, "seeds", case.case_id)
-    )
-    by_id = {p.page_id: p for p in case.pages}
-    seeds = []
-    for page_id in seed_ids:
-        record = by_id[page_id]
-        page = _load_page(corpus_root, record.html_path, page_id)
-        sequence, trace = generate(page, case.instruction, gateway, cfg)
-        trace.html_path = str((corpus_root / record.html_path).resolve())
-        trace_file = f"{case.case_id}__{page_id}.json"
-        dump_json(trace.to_record(), out / "traces" / trace_file)
-        seeds.append({
-            "page_id": page_id,
-            "html_path": record.html_path,
-            "gold": list(record.gold),
-            "proposed_values": list(trace.final_values),
-            "sequence": sequence.to_record() if sequence is not None else None,
-            "trace_file": f"traces/{trace_file}",
-        })
-    dump_json(
-        {
-            "case_id": case.case_id,
-            "instruction": case.instruction,
-            "strategy": cfg.strategy.value,
-            "seeds": seeds,
-        },
-        out / "candidates" / f"{case.case_id}.json",
-    )
-
-
 def cmd_generate(args: argparse.Namespace) -> int:
     cases_dir = Path(args.cases)
     meta, corpus_root = _load_meta(cases_dir)
@@ -182,7 +206,44 @@ def cmd_generate(args: argparse.Namespace) -> int:
         judge_mode=JudgeMode(args.judge),
     )
 
-    todo: list[WebpageCase] = []
+    def plan(case: WebpageCase) -> _Walk:
+        seed_ids = select_seeds(
+            case.page_ids, args.seeds_per_case, derive_seed(args.seed, "seeds", case.case_id)
+        )
+        by_id = {p.page_id: p for p in case.pages}
+        records = [by_id[page_id] for page_id in seed_ids]
+        seeds: list[dict] = [{} for _ in records]
+
+        def visit(index: int, page: DocumentTree) -> None:
+            record = records[index]
+            sequence, trace = generate(page, case.instruction, gateway, cfg)
+            trace.html_path = str((corpus_root / record.html_path).resolve())
+            trace_file = f"{case.case_id}__{record.page_id}.json"
+            dump_json(trace.to_record(), out / "traces" / trace_file)
+            seeds[index] = {
+                "page_id": record.page_id,
+                "html_path": record.html_path,
+                "gold": list(record.gold),
+                "proposed_values": list(trace.final_values),
+                "sequence": sequence.to_record() if sequence is not None else None,
+                "trace_file": f"traces/{trace_file}",
+            }
+
+        def done() -> None:
+            dump_json(
+                {
+                    "case_id": case.case_id,
+                    "instruction": case.instruction,
+                    "strategy": cfg.strategy.value,
+                    "seeds": seeds,
+                },
+                out / "candidates" / f"{case.case_id}.json",
+            )
+
+        return _Walk(records, visit, done)
+
+    walks: list[_Walk] = []
+    websites: dict[tuple[str, str], list[_Walk]] = {}
     skipped = 0
     for path in _case_files(cases_dir):
         case = load_case(path)
@@ -190,25 +251,17 @@ def cmd_generate(args: argparse.Namespace) -> int:
         if (out / "candidates" / f"{case.case_id}.json").exists() and not args.force:
             skipped += 1
             continue
-        todo.append(case)
+        walk = plan(case)
+        walks.append(walk)
+        websites.setdefault((case.domain, case.website), []).append(walk)
 
-    def work(case: WebpageCase) -> Optional[GatewayError]:
-        try:
-            _generate_case(case, corpus_root, gateway, cfg, args.seeds_per_case, args.seed, out)
-        except GatewayError as exc:
-            return exc  # the other cases still run; the first failure is raised below
-        return None
-
-    # Any job count tries every case, so a rerun resumes from the checkpoints.
-    # One job stays on this thread: a worker thread's own malloc arena adds
-    # ~0.6 MB to peak RSS on 46 KB pages.
-    with ThreadPoolExecutor(max_workers=max(args.jobs, 1)) as pool:
-        results = pool.map(work, todo) if args.jobs > 1 else map(work, todo)
-        failures = [exc for exc in results if exc is not None]
+    # Every case is tried, so a rerun resumes from the checkpoints.
+    _walk_websites(corpus_root, websites.values(), args.jobs)
     dump_json(meta, out / "_meta.json")
+    failures = [walk.failure for walk in walks if walk.failure is not None]
     if failures:
         raise failures[0]
-    print(f"generated {len(todo)} case(s), skipped {skipped} checkpointed")
+    print(f"generated {len(walks)} case(s), skipped {skipped} checkpointed")
     return 0
 
 
@@ -278,44 +331,31 @@ def cmd_run(args: argparse.Namespace) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    # The cases of one website share its page sample: group them so that
-    # each page is parsed once for all of them.
-    Job = tuple[str, str, Optional[ActionSequence], WebpageCase]
-    groups: dict[tuple[str, str], list[Job]] = {}
+    def plan(name: str, case_id: str, sequence: Optional[ActionSequence],
+             case: WebpageCase) -> _Walk:
+        pages: dict[str, dict] = {}
+        if sequence is None:
+            pages = {p.page_id: {"values": [], "status": "no_match"} for p in case.pages}
+
+        def visit(index: int, page: DocumentTree) -> None:
+            pages[case.pages[index].page_id] = extract(page, sequence).to_record()
+
+        def done() -> None:
+            dump_json({"case_id": case_id, "pages": pages}, out / name)
+
+        # A case without a sequence needs no page.
+        return _Walk(case.pages if sequence is not None else (), visit, done)
+
+    websites: dict[tuple[str, str], list[_Walk]] = {}
     files = _case_files(sequences_dir)
     for path in files:
         case_id, sequence = read_record(path, _decode_chosen)
         case = load_case(cases_dir / f"{case_id}.json")
-        groups.setdefault((case.domain, case.website), []).append(
-            (path.name, case_id, sequence, case)
+        websites.setdefault((case.domain, case.website), []).append(
+            plan(path.name, case_id, sequence, case)
         )
 
-    def work(group: list[Job]) -> None:
-        results: dict[str, dict[str, dict]] = {}
-        runs: dict[tuple[str, str], list[tuple[dict, ActionSequence]]] = {}
-        for name, _, sequence, case in group:
-            pages = results[name] = {}
-            if sequence is None:
-                for page_record in case.pages:
-                    pages[page_record.page_id] = {"values": [], "status": "no_match"}
-                continue
-            for page_record in case.pages:
-                key = (page_record.html_path, page_record.page_id)
-                runs.setdefault(key, []).append((pages, sequence))
-        for (html_path, page_id), page_runs in runs.items():
-            page = _load_page(corpus_root, html_path, page_id)
-            for pages, sequence in page_runs:
-                pages[page_id] = extract(page, sequence).to_record()
-            del page  # one parsed page live at a time
-        for name, case_id, _, _ in group:
-            dump_json({"case_id": case_id, "pages": results[name]}, out / name)
-
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            list(pool.map(work, groups.values()))
-    else:
-        for group in groups.values():
-            work(group)
+    _walk_websites(corpus_root, websites.values(), args.jobs)
     dump_json(meta, out / "_meta.json")
     print(f"ran sequences for {len(files)} case(s)")
     return 0
@@ -418,7 +458,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
     trace = _load_trace(Path(args.trace))
     if not trace.html_path:
         raise DatasetError("trace does not reference its page file")
-    page = preprocess(parse_html(Path(trace.html_path).read_text(encoding="utf-8"), trace.page_id))
+    page = _load_page(Path(), trace.html_path, trace.page_id)
     if trace.sequence is None:
         raise DatasetError("trace recorded no sequence; nothing to replay")
     result = extract(page, trace.sequence)
@@ -452,7 +492,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("prepare", help="build case files from a corpus manifest")
     p.add_argument("--manifest", required=True)
-    p.add_argument("--sample", type=int, default=100)
+    p.add_argument("--sample", type=positive_int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_prepare)
@@ -461,11 +501,11 @@ def build_parser() -> _Parser:
     p.add_argument("--cases", required=True)
     p.add_argument("--strategy", choices=[s.value for s in Strategy], default="progressive")
     p.add_argument("--backend", required=True, help="backend config JSON file")
-    p.add_argument("--dmax", type=int, default=5)
-    p.add_argument("--seeds-per-case", type=int, default=3)
+    p.add_argument("--dmax", type=positive_int, default=5)
+    p.add_argument("--seeds-per-case", type=positive_int, default=3)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--judge", choices=[m.value for m in JudgeMode], default="deterministic")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=positive_int, default=1)
     p.add_argument("--force", action="store_true")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_generate)
@@ -481,7 +521,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("run", help="execute chosen sequences on all case pages")
     p.add_argument("--sequences", required=True)
     p.add_argument("--cases", required=True)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=positive_int, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_run)
 
@@ -497,8 +537,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("analyze", help="compression, length, fragility, break-even tables")
     p.add_argument("--traces", required=True)
     p.add_argument("--sequences", required=True)
-    p.add_argument("--dmax", type=int, default=5)
-    p.add_argument("--ns", type=int, default=3)
+    p.add_argument("--dmax", type=positive_int, default=5)
+    p.add_argument("--ns", type=positive_int, default=3)
     p.add_argument("--tg", type=float, default=None, help="per-seed generation time")
     p.add_argument("--ts", type=float, default=None, help="synthesis time")
     p.add_argument("--te", type=float, default=0.0, help="per-page execution time")
@@ -512,8 +552,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("corpus", help="build the synthetic offline fixture corpus")
     p.add_argument("--out", required=True)
-    p.add_argument("--sites", type=int, default=10)
-    p.add_argument("--pages", type=int, default=20)
+    p.add_argument("--sites", type=positive_int, default=10)
+    p.add_argument("--pages", type=positive_int, default=20)
     p.set_defaults(func=cmd_corpus)
 
     return parser
@@ -539,7 +579,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         FileNotFoundError,
         json.JSONDecodeError,
         ValueError,
-        RecursionError,  # a page nested deeper than the tree walkers can follow
+        RecursionError,  # e.g. a JSON record nested deeper than the decoder follows
     ) as exc:
         _error_record(type(exc).__name__, str(exc))
         return 3

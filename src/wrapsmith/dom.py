@@ -7,7 +7,9 @@ threads, and a pruned tree is a view that shares its page's nodes. Cleanup
 strips ``script``/``style`` subtrees, comments, and every attribute except
 ``class``. Size metrics (token count, tree height) are taken over the
 serialization's parts, in which each tag is its own whitespace-delimited
-token, which keeps both measures monotone under pruning.
+token, which keeps both measures monotone under pruning. Every walk over a
+tree uses an explicit stack, so no nesting depth reaches the interpreter's
+recursion limit.
 """
 
 from __future__ import annotations
@@ -143,13 +145,15 @@ class TreeMetrics:
 
 class DocumentTree:
     """A parsed page, or a pruned view of one: a root element plus an opaque
-    source identifier."""
+    source identifier. Its nodes never change, so it renders once and every
+    caller of :meth:`to_html` and :func:`measure` shares that rendering."""
 
-    __slots__ = ("root", "source_id")
+    __slots__ = ("root", "source_id", "_rendered")
 
     def __init__(self, root: ElementNode, source_id: str) -> None:
         self.root = root
         self.source_id = source_id
+        self._rendered: Optional[tuple[str, TreeMetrics]] = None
 
     @classmethod
     def from_root(cls, root: ElementNode, source_id: str) -> "DocumentTree":
@@ -157,9 +161,15 @@ class DocumentTree:
         return cls(root, source_id)
 
     def to_html(self) -> str:
-        parts: list[str] = []
-        _serialize(self.root, parts)
-        return "".join(parts)
+        return self._rendering()[0]
+
+    def _rendering(self) -> tuple[str, TreeMetrics]:
+        """The serialization and its metrics, rendered on first use: the tree
+        is immutable, so every caller shares one rendering. Two threads that
+        race here both render and store equal results."""
+        if self._rendered is None:
+            self._rendered = _render(self.root)
+        return self._rendered
 
     def text_content(self) -> str:
         return self.root.text_content()
@@ -198,33 +208,34 @@ def _open_tag(el: ElementNode) -> str:
     return f"<{el.tag}{attrs}>"
 
 
-def _serialize(node: Node, parts: list[str]) -> None:
-    if isinstance(node, TextNode):
-        parts.append(_escape_text(node.text))
-        return
-    if isinstance(node, CommentNode):
-        parts.append(f"<!--{node.text}-->")
-        return
-    parts.append(_open_tag(node))
-    for child in node.children:
-        _serialize(child, parts)
-    if node.children or node.tag not in VOID_TAGS:
-        parts.append(f"</{node.tag}>")
-
-
-def _height(el: ElementNode) -> int:
-    best = 0
-    for child in el.element_children:
-        best = max(best, _height(child))
-    return best + 1
+def _render(root: ElementNode) -> tuple[str, TreeMetrics]:
+    """Serialize a tree and measure it in one walk."""
+    parts: list[str] = []
+    height = depth = 0  # depth: elements open at this point of the walk
+    stack: list[Union[Node, str]] = [root]  # a str is a pending closing tag
+    while stack:
+        node = stack.pop()
+        if isinstance(node, str):
+            parts.append(node)
+            depth -= 1
+        elif isinstance(node, TextNode):
+            parts.append(_escape_text(node.text))
+        elif isinstance(node, CommentNode):
+            parts.append(f"<!--{node.text}-->")
+        else:
+            parts.append(_open_tag(node))
+            height = max(height, depth + 1)
+            if node.children or node.tag not in VOID_TAGS:
+                depth += 1
+                stack.append(f"</{node.tag}>")
+            stack.extend(reversed(node.children))
+    tokens = sum(len(part.split()) for part in parts)
+    return "".join(parts), TreeMetrics(token_count=tokens, height=height)
 
 
 def measure(tree: DocumentTree) -> TreeMetrics:
     """Token count over the serialization's parts plus element height."""
-    parts: list[str] = []
-    _serialize(tree.root, parts)
-    tokens = sum(len(part.split()) for part in parts)
-    return TreeMetrics(token_count=tokens, height=_height(tree.root))
+    return tree._rendering()[1]
 
 
 def normalize_escapes(value: str) -> str:
@@ -322,27 +333,36 @@ def parse_html(raw: str, source_id: str = "") -> DocumentTree:
     return DocumentTree.from_root(root, source_id)
 
 
+def _cleaned(root: ElementNode) -> ElementNode:
+    """Fresh copy of ``root`` without comments, script/style subtrees and
+    non-``class`` attributes, built top-down: each copy gets its children
+    once they are known, before the tree is frozen."""
+
+    def bare_copy(el: ElementNode) -> ElementNode:
+        return ElementNode(el.tag, tuple((k, v) for k, v in el.attrs if k == KEEP_ATTR))
+
+    top = bare_copy(root)
+    stack = [(root, top)]
+    while stack:
+        el, copy = stack.pop()
+        kept: list[Node] = []
+        for child in el.children:
+            if isinstance(child, TextNode):
+                kept.append(TextNode(child.text))
+            elif isinstance(child, ElementNode) and child.tag not in STRIP_TAGS:
+                twin = bare_copy(child)
+                kept.append(twin)
+                stack.append((child, twin))
+        copy.children = tuple(kept)
+    return top
+
+
 def preprocess(tree: DocumentTree) -> DocumentTree:
     """Drop script/style subtrees and comments, keep only ``class`` attrs.
 
     Idempotent, never grows the tree; text is untouched (the parser has
     already resolved character references).
     """
-
-    def rebuild(el: ElementNode) -> ElementNode:
-        kept: list[Node] = []
-        for child in el.children:
-            if isinstance(child, CommentNode):
-                continue
-            if isinstance(child, TextNode):
-                kept.append(TextNode(child.text))
-                continue
-            if child.tag in STRIP_TAGS:
-                continue
-            kept.append(rebuild(child))
-        attrs = tuple((k, v) for k, v in el.attrs if k == KEEP_ATTR)
-        return ElementNode(el.tag, attrs, tuple(kept))
-
     if tree.root.tag in STRIP_TAGS:
         return DocumentTree.from_root(ElementNode("html"), tree.source_id)
-    return DocumentTree.from_root(rebuild(tree.root), tree.source_id)
+    return DocumentTree.from_root(_cleaned(tree.root), tree.source_id)

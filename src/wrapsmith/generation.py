@@ -186,12 +186,10 @@ def generate(
     pruning: list[str] = []
     history: list[tuple[str, str, tuple[str, ...]]] = []
     tree = page
-    view: Optional[tuple[TreeMetrics, str]] = None
 
     for iteration in range(cfg.d_max):
-        if view is None:  # render and measure a tree only once
-            view = measure(tree), tree.to_html()
-        metrics, html = view
+        # A tree renders once; a page's rendering is shared by every case on it.
+        metrics, html = measure(tree), tree.to_html()
         if history:
             template, slots = "reflexion", [instruction, format_history(history), html]
         else:
@@ -235,7 +233,7 @@ def generate(
             exchanges.extend(climb_exchanges)
             if climb is not None:
                 pruning.append(climb)
-                tree, view = pruned, None
+                tree = pruned
         else:
             decision = "retry"
             history.append((exchange.parsed_str("thought"), proposed, result.values))

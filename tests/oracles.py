@@ -1,5 +1,9 @@
 """Independent references used by the tests.
 
+The rendering and cleanup oracles are the recursive walkers the package
+used before its walks took an explicit stack: ``_serialize``, ``_height``
+and ``preprocess``'s ``rebuild``.
+
 The subtree oracle builds a pruned tree the way the package did before
 pruned trees became views of their page: fresh nodes, frozen anew.
 
@@ -20,11 +24,22 @@ markup, one leading ``//``, class/child predicates.
 
 from __future__ import annotations
 
+import html as htmllib
 import json
 import random
 import xml.etree.ElementTree as ET
 
-from wrapsmith.dom import CommentNode, DocumentTree, ElementNode, TextNode, measure
+from wrapsmith.dom import (
+    KEEP_ATTR,
+    STRIP_TAGS,
+    VOID_TAGS,
+    CommentNode,
+    DocumentTree,
+    ElementNode,
+    TextNode,
+    TreeMetrics,
+    measure,
+)
 from wrapsmith.executor import InvalidXPathError, NoMatchError, NotAnElementError, prune
 from wrapsmith.gateway import JudgeMode, judge_contains
 
@@ -96,6 +111,97 @@ def random_page_html(rng: random.Random, max_depth: int = 4) -> str:
 
     body = "".join(element(2) for _ in range(rng.randint(1, 3)))
     return f"<html><body>{body}</body></html>"
+
+
+def random_messy_page_html(rng: random.Random, max_depth: int = 6) -> str:
+    """Like :func:`random_page_html`, plus what cleanup and serialization
+    must handle: comments, ``script``/``style``, void tags, attributes other
+    than ``class``, characters that need escaping, runs of whitespace and
+    unclosed tags."""
+    texts = WORDS + ["a < b", "x & y", "  two  words ", "\n", 'say "hi"']
+
+    def element(depth: int) -> str:
+        roll = rng.random()
+        if roll < 0.08:
+            return f"<!--{rng.choice(WORDS)} -->"
+        if roll < 0.14:
+            tag = rng.choice(sorted(STRIP_TAGS))
+            return f"<{tag}>{rng.choice(WORDS)}</{tag}>"
+        if roll < 0.22:
+            return f'<{rng.choice(["br", "img", "hr"])} alt="{rng.choice(WORDS)}">'
+        tag = rng.choice(TAGS)
+        attrs = ""
+        if rng.random() < 0.6:
+            attrs += f' class="{rng.choice(CLASSES)}"'
+        if rng.random() < 0.3:
+            attrs += f' id="{rng.choice(WORDS)}" data-x=\'a&amp;"b\''
+        parts: list[str] = []
+        if rng.random() < 0.6:
+            parts.append(htmllib.escape(rng.choice(texts), quote=False))
+        for _ in range(rng.randint(0, 3) if depth < max_depth else 0):
+            parts.append(element(depth + 1))
+            if rng.random() < 0.4:
+                parts.append(htmllib.escape(rng.choice(texts), quote=False))
+        close = f"</{tag}>" if rng.random() < 0.9 else ""
+        return f"<{tag}{attrs}>{''.join(parts)}{close}"
+
+    body = "".join(element(2) for _ in range(rng.randint(1, 3)))
+    return f"<html><body>{body}</body></html>"
+
+
+def reference_to_html(tree: DocumentTree) -> str:
+    parts: list[str] = []
+    _reference_serialize(tree.root, parts)
+    return "".join(parts)
+
+
+def reference_measure(tree: DocumentTree) -> TreeMetrics:
+    parts: list[str] = []
+    _reference_serialize(tree.root, parts)
+    tokens = sum(len(part.split()) for part in parts)
+    return TreeMetrics(token_count=tokens, height=_reference_height(tree.root))
+
+
+def _reference_serialize(node, parts: list[str]) -> None:
+    if isinstance(node, TextNode):
+        parts.append(htmllib.escape(node.text, quote=False))
+        return
+    if isinstance(node, CommentNode):
+        parts.append(f"<!--{node.text}-->")
+        return
+    attrs = "".join(f' {k}="{htmllib.escape(v, quote=True)}"' for k, v in node.attrs)
+    parts.append(f"<{node.tag}{attrs}>")
+    for child in node.children:
+        _reference_serialize(child, parts)
+    if node.children or node.tag not in VOID_TAGS:
+        parts.append(f"</{node.tag}>")
+
+
+def _reference_height(el: ElementNode) -> int:
+    best = 0
+    for child in el.element_children:
+        best = max(best, _reference_height(child))
+    return best + 1
+
+
+def reference_preprocess(tree: DocumentTree) -> DocumentTree:
+    def rebuild(el: ElementNode) -> ElementNode:
+        kept = []
+        for child in el.children:
+            if isinstance(child, CommentNode):
+                continue
+            if isinstance(child, TextNode):
+                kept.append(TextNode(child.text))
+                continue
+            if child.tag in STRIP_TAGS:
+                continue
+            kept.append(rebuild(child))
+        attrs = tuple((k, v) for k, v in el.attrs if k == KEEP_ATTR)
+        return ElementNode(el.tag, attrs, tuple(kept))
+
+    if tree.root.tag in STRIP_TAGS:
+        return DocumentTree.from_root(ElementNode("html"), tree.source_id)
+    return DocumentTree.from_root(rebuild(tree.root), tree.source_id)
 
 
 def random_simple_xpath(rng: random.Random) -> str:

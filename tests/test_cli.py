@@ -3,12 +3,14 @@ import json
 import pytest
 
 from conftest import json_answer, make_gateway
-from wrapsmith import cli
+from wrapsmith import cli, dom
 from wrapsmith.cli import main
-from wrapsmith.dataset import PageRecord, WebpageCase, dump_json, load_case
-from wrapsmith.executor import ActionSequence, Provenance
+from wrapsmith.dataset import PageRecord, WebpageCase, derive_seed, dump_json, load_case
+from wrapsmith.dom import TreeMetrics, measure
+from wrapsmith.executor import ActionSequence, Provenance, extract, prune
 from wrapsmith.gateway import BackendConfig, GatewayError, LlmGateway, ScriptTable, prompt_fingerprint
-from wrapsmith.generation import GenerationTrace, StrategyConfig
+from wrapsmith.generation import GenerationTrace
+from wrapsmith.synthesis import select_seeds
 
 
 def run_cli(*args):
@@ -92,14 +94,17 @@ class TestGenerate:
     def test_parallel_jobs_match_serial(self, pipeline_dirs):
         corpus, cases, tmp = pipeline_dirs
         serial, parallel = tmp / "gen-serial", tmp / "gen-par"
-        for out, jobs in ((serial, 1), (parallel, 4)):
+        for out, jobs in ((serial, 1), (parallel, 3)):
             assert run_cli(
                 "generate", "--cases", cases, "--backend", corpus.backend_path,
                 "--seed", "3", "--jobs", jobs, "--out", out,
             ) == 0
-        for path in sorted((serial / "candidates").glob("*.json")):
-            twin = parallel / "candidates" / path.name
-            assert path.read_bytes() == twin.read_bytes()
+        for kind, count in (("candidates", 20), ("traces", 60)):
+            names = sorted(p.name for p in (serial / kind).glob("*.json"))
+            assert len(names) == count
+            assert names == sorted(p.name for p in (parallel / kind).glob("*.json"))
+            for name in names:
+                assert (serial / kind / name).read_bytes() == (parallel / kind / name).read_bytes()
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_backend_failure_tries_every_case_then_exits_2(
@@ -109,7 +114,7 @@ class TestGenerate:
         script = ScriptTable.load(BackendConfig.from_file(corpus.backend_path).script_path)
 
         def transport(template, prompt):
-            if 'class="stats-3"' in prompt and "extract the height" in prompt:
+            if 'class="stats-2"' in prompt and "extract the height" in prompt:
                 raise GatewayError("backend error 503")
             return script.lookup(prompt_fingerprint(template, prompt))
 
@@ -122,11 +127,76 @@ class TestGenerate:
         assert error == {"error": "GatewayError", "detail": "backend error 503"}
         assert (out / "_meta.json").exists()
         written = sorted(p.stem for p in (out / "candidates").glob("*.json"))
-        assert len(written) == 19 and "nbaplayer__site03__height" not in written
+        assert len(written) == 19 and "nbaplayer__site02__height" not in written
+        assert not list((out / "traces").glob("nbaplayer__site02__height__*"))
+        # The sibling case shares the failing case's seed pages and still ran.
+        failing, sibling = (seed_keys(cases, f"nbaplayer__site02__{a}") for a in ("height", "team"))
+        assert failing & sibling
+        assert "nbaplayer__site02__team" in written
+        traces = sorted(p.name for p in (out / "traces").glob("nbaplayer__site02__team__*"))
+        assert traces == sorted(f"nbaplayer__site02__team__{page_id}.json" for _, page_id in sibling)
 
         monkeypatch.undo()
         assert run_cli(*args) == 0
         assert "generated 1 case(s), skipped 19 checkpointed" in capsys.readouterr().out
+
+
+def seed_keys(cases, case_id, n_seeds=3, seed=3):
+    """``(html_path, page_id)`` of the seed pages ``generate`` draws for a case."""
+    case = load_case(cases / f"{case_id}.json")
+    by_id = {p.page_id: p for p in case.pages}
+    drawn = select_seeds(case.page_ids, n_seeds, derive_seed(seed, "seeds", case_id))
+    return {(by_id[page_id].html_path, page_id) for page_id in drawn}
+
+
+class TestWalkSeedPagesOnce:
+    def all_seed_keys(self, cases, case_ids=None):
+        return [
+            seed_keys(cases, path.stem)
+            for path in cli._case_files(cases)
+            if case_ids is None or path.stem in case_ids
+        ]
+
+    def test_each_seed_page_is_parsed_once(self, pipeline_dirs, count_parses):
+        corpus, cases, tmp = pipeline_dirs
+        drawn = self.all_seed_keys(cases)
+        distinct = set().union(*drawn)
+        assert len(distinct) < sum(len(keys) for keys in drawn)  # cases share pages
+        assert run_cli("generate", "--cases", cases, "--backend", corpus.backend_path,
+                       "--seed", "3", "--out", tmp / "gen") == 0
+        assert sorted(count_parses) == sorted(page_id for _, page_id in distinct)
+
+    def test_checkpointed_cases_pages_are_not_parsed(self, pipeline_dirs, count_parses):
+        corpus, cases, tmp = pipeline_dirs
+        args = ("generate", "--cases", cases, "--backend", corpus.backend_path,
+                "--seed", "3", "--out", tmp / "gen")
+        assert run_cli(*args) == 0
+        pending = {"nbaplayer__site01__team", "nbaplayer__site04__height"}
+        for case_id in pending:
+            (tmp / "gen" / "candidates" / f"{case_id}.json").unlink()
+        count_parses.clear()
+        assert run_cli(*args) == 0
+        distinct = set().union(*self.all_seed_keys(cases, pending))
+        assert sorted(count_parses) == sorted(page_id for _, page_id in distinct)
+
+    def test_a_page_drawn_by_several_cases_renders_once(self, pipeline_dirs, monkeypatch):
+        corpus, cases, tmp = pipeline_dirs
+        rendered = []
+        original = dom._render
+
+        def counting(root):
+            rendered.append(root)
+            return original(root)
+
+        monkeypatch.setattr(dom, "_render", counting)
+        assert run_cli("generate", "--cases", cases, "--backend", corpus.backend_path,
+                       "--seed", "3", "--out", tmp / "gen") == 0
+        drawn = self.all_seed_keys(cases)
+        distinct = set().union(*drawn)
+        assert max(sum(key in keys for keys in drawn) for key in distinct) > 1
+        # A page's root has no parent; a pruned view's root has one.
+        pages = [root for root in rendered if root.parent is None]
+        assert len(pages) == len(distinct) == len({id(root) for root in pages})
 
 
 class TestPipelineTail:
@@ -282,20 +352,34 @@ class TestParseOncePerWebsite:
         assert error["error"] == "FileNotFoundError"
 
 
+def write_case(tmp_path, page_ids, instruction="i", html=None):
+    """A corpus of the given pages and one case ``d__w__a`` over all of them;
+    returns ``(corpus, cases, case)``."""
+    corpus, cases = tmp_path / "corpus", tmp_path / "cases"
+    write_pages(corpus, page_ids)
+    if html is not None:
+        for page_id in page_ids:
+            (corpus / f"{page_id}.html").write_text(html, encoding="utf-8")
+    cases.mkdir()
+    dump_json({"corpus_root": str(corpus)}, cases / "_meta.json")
+    case = WebpageCase(
+        "d", "w", "a", instruction,
+        tuple(PageRecord(p, f"{p}.html", ("v",)) for p in page_ids),
+    )
+    dump_json(case.to_record(), cases / f"{case.case_id}.json")
+    return corpus, cases, case
+
+
 class TestAttributeAbsent:
-    def test_blank_xpath_sequence_survives_the_round_trip(self, tmp_path, capsys):
-        corpus = tmp_path / "corpus"
-        write_pages(corpus, ["p1", "p2", "p3"])
-        case = WebpageCase(
-            "d", "w", "a", "Please extract the award.",
-            tuple(PageRecord(p, f"{p}.html", ()) for p in ("p1", "p2", "p3")),
-        )
+    def test_blank_xpath_sequence_survives_the_round_trip(
+        self, tmp_path, capsys, monkeypatch, synthetic_corpus
+    ):
+        _, cases, case = write_case(tmp_path, ["p1", "p2", "p3"], "Please extract the award.")
         gateway = make_gateway(lambda template, prompt: json_answer("", ""))
+        monkeypatch.setattr(cli, "LlmGateway", lambda config: gateway)
         gen = tmp_path / "gen"
-        (gen / "candidates").mkdir(parents=True)
-        (gen / "traces").mkdir()
-        cli._generate_case(case, corpus, gateway, StrategyConfig(), 3, 0, gen)
-        dump_json({"corpus_root": str(corpus)}, gen / "_meta.json")
+        assert run_cli("generate", "--cases", cases, "--backend", synthetic_corpus.backend_path,
+                       "--out", gen) == 0
 
         trace_path = gen / "traces" / f"{case.case_id}__p1.json"
         trace = GenerationTrace.from_record(json.loads(trace_path.read_text()))
@@ -484,14 +568,73 @@ class TestMalformedInputs:
         error = json.loads(capsys.readouterr().err.strip())
         assert error["error"] == "DatasetError"
 
-    def test_deeply_nested_page_is_data_error(self, tmp_path, capsys):
-        page = tmp_path / "deep.html"
-        page.write_text("<ul>" + "<li>x" * 1200 + "</ul>", encoding="utf-8")
+    def test_deeply_nested_record_is_data_error(self, tmp_path, capsys):
         trace = tmp_path / "t.json"
-        dump_json(trace_record(page), trace)
+        trace.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
         assert run_cli("replay", "--trace", trace) == 3
         error = json.loads(capsys.readouterr().err.strip())
         assert error["error"] == "RecursionError"
+
+
+DEPTH = 10_000
+DEEP_PAGE = "<html><body>" + "<div>" * DEPTH + "<b>v</b>" + "</div>" * DEPTH + "</body></html>"
+
+
+class TestDeepNesting:
+    def test_page_loads_renders_extracts_and_prunes(self, tmp_path):
+        (tmp_path / "deep.html").write_text(DEEP_PAGE, encoding="utf-8")
+        page = cli._load_page(tmp_path, "deep.html", "deep")
+        assert page.to_html() == DEEP_PAGE
+        assert measure(page) == TreeMetrics(token_count=2 * DEPTH + 7, height=DEPTH + 3)
+        innermost = prune(page, "//b/..")
+        assert page.subtree(innermost).to_html() == "<div><b>v</b></div>"
+        sequence = ActionSequence(("//b/../..", "//b/text()"), Provenance("deep", "progressive"))
+        assert extract(page, sequence).values == ("v",)
+
+    def test_generate_synthesize_and_run_exit_0(self, tmp_path, monkeypatch, synthetic_corpus):
+        _, cases, case = write_case(tmp_path, ["p1", "p2", "p3"], html=DEEP_PAGE)
+        gateway = make_gateway(lambda template, prompt: json_answer("v", "//b/text()"))
+        monkeypatch.setattr(cli, "LlmGateway", lambda config: gateway)
+        gen, seq, results = tmp_path / "gen", tmp_path / "seq", tmp_path / "results"
+        assert run_cli("generate", "--cases", cases, "--backend", synthetic_corpus.backend_path,
+                       "--out", gen) == 0
+        trace = json.loads((gen / "traces" / f"{case.case_id}__p1.json").read_text())
+        assert trace["steps"][0]["metrics_before"]["height"] == DEPTH + 3
+        assert run_cli("synthesize", "--candidates", gen, "--out", seq) == 0
+        assert run_cli("run", "--sequences", seq, "--cases", cases, "--out", results) == 0
+        pages = json.loads((results / f"{case.case_id}.json").read_text())["pages"]
+        assert {page["values"][0] for page in pages.values()} == {"v"}
+        assert run_cli("replay", "--trace", gen / "traces" / f"{case.case_id}__p1.json") == 0
+
+
+class TestCountFlags:
+    @pytest.mark.parametrize("command, flag, value", [
+        ("prepare", "--sample", "0"),
+        ("generate", "--seeds-per-case", "0"),
+        ("generate", "--seeds-per-case", "-1"),
+        ("generate", "--dmax", "0"),
+        ("generate", "--jobs", "0"),
+        ("run", "--jobs", "0"),
+        ("analyze", "--ns", "0"),
+        ("analyze", "--dmax", "0"),
+        ("corpus", "--sites", "0"),
+        ("corpus", "--pages", "-2"),
+    ])
+    def test_count_below_one_is_usage_error(self, pipeline_dirs, capsys, command, flag, value):
+        corpus, cases, tmp = pipeline_dirs
+        out = tmp / "out"
+        args = {
+            "prepare": ("--manifest", corpus.manifest_path),
+            "generate": ("--cases", cases, "--backend", corpus.backend_path),
+            "run": ("--sequences", cases, "--cases", cases),
+            "analyze": ("--traces", cases, "--sequences", cases),
+            "corpus": (),
+        }[command]
+        capsys.readouterr()
+        assert run_cli(command, *args, flag, value, "--out", out) == 1
+        error = json.loads(capsys.readouterr().err.strip())
+        assert error["error"] == "UsageError" and flag in error["detail"]
+        assert not out.exists()
 
 
 class TestCorpusCommand:

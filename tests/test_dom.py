@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from oracles import elements, random_page_html
+from wrapsmith import dom
 from wrapsmith.dom import (
     CommentNode,
     ElementNode,
@@ -217,3 +219,46 @@ def test_preprocess_idempotent_and_monotone_on_random_pages(seed):
     before, after = measure(tree), measure(once)
     assert after.token_count <= before.token_count
     assert after.height <= before.height
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_walkers_match_the_recursive_reference(seed):
+    # 3 x 120 random pages, each raw and preprocessed, and a view of each.
+    rng = random.Random(seed)
+    for index in range(120):
+        raw = parse_html(oracles.random_messy_page_html(rng), f"page-{index}")
+        clean = preprocess(raw)
+        assert shape(clean) == shape(oracles.reference_preprocess(raw))
+        for tree in (raw, clean):
+            view = tree.subtree(rng.choice(elements(tree.root)))
+            for t in (tree, view):
+                assert t.to_html() == oracles.reference_to_html(t)
+                assert measure(t) == oracles.reference_measure(t)
+
+
+class TestRenderOnce:
+    @pytest.fixture
+    def renders(self, monkeypatch):
+        roots = []
+        original = dom._render
+
+        def counting(root):
+            roots.append(root)
+            return original(root)
+
+        monkeypatch.setattr(dom, "_render", counting)
+        return roots
+
+    def test_measure_and_to_html_share_one_rendering(self, renders):
+        tree = preprocess(parse_html("<div><p>a b</p><p>c</p></div>", "t"))
+        for _ in range(3):
+            assert measure(tree).token_count == 9
+            assert tree.to_html() == "<div><p>a b</p><p>c</p></div>"
+        assert renders == [tree.root]
+
+    def test_a_view_renders_its_own_subtree(self, renders):
+        tree = preprocess(parse_html("<div><p>a b</p><p>c</p></div>", "t"))
+        view = tree.subtree(tree.root.children[1])
+        assert view.to_html() == "<p>c</p>" and measure(view).height == 1
+        assert tree.to_html() == "<div><p>a b</p><p>c</p></div>"
+        assert renders == [view.root, tree.root]
