@@ -82,18 +82,15 @@ def _load_trace(path: Path) -> GenerationTrace:
 
 def _decode_candidates(record: dict) -> tuple:
     """Case id and instruction of a ``generate`` output file, then, over the
-    seeds that have a sequence, the sequences, page ids, ``(html_path,
-    page_id)`` keys, proposed values and gold values."""
+    seeds that have a sequence, the sequences, pages and proposed values."""
     # A seed without a sequence is one where generation failed.
     seeds = [seed for seed in record["seeds"] if seed["sequence"] is not None]
     return (
         record["case_id"],
         record["instruction"],
         [ActionSequence.from_record(seed["sequence"]) for seed in seeds],
-        [seed["page_id"] for seed in seeds],
-        [(seed["html_path"], seed["page_id"]) for seed in seeds],
+        [PageRecord(seed["page_id"], seed["html_path"], tuple(seed["gold"])) for seed in seeds],
         [seed["proposed_values"] for seed in seeds],
-        [seed["gold"] for seed in seeds],
     )
 
 
@@ -157,8 +154,8 @@ def _walk_websites(corpus_root: Path, websites: Iterable[list[_Walk]], jobs: int
                 left[id(walk)] -= 1
                 if not left[id(walk)]:
                     walk.done()
-            # Drop the page before loading the next. Parent links make it a
-            # reference cycle, so it is freed at the next cyclic collection.
+            # Drop the page before loading the next: nodes link only to their
+            # children, so it is freed here, not at a later cyclic collection.
             del page
 
     if jobs > 1:
@@ -276,51 +273,44 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
             raise UsageError("--mode llm requires --backend")
         gateway = LlmGateway(BackendConfig.from_file(args.backend))
 
-    count = 0
-    seed_trees: dict[tuple[str, str], DocumentTree] = {}
-    for path in _case_files(candidates_dir / "candidates"):
-        (case_id, instruction, candidates, seed_ids, keys,
-         seed_values, gold_values) = read_record(path, _decode_candidates)
-        # Consecutive cases of one website often draw the same seed pages:
-        # keep the trees this case shares with the previous one, drop the
-        # rest before parsing new ones, so at most one case's seeds are live.
-        seed_trees = {key: seed_trees[key] for key in keys if key in seed_trees}
-        for key in keys:
-            if key not in seed_trees:
-                seed_trees[key] = _load_page(corpus_root, *key)
-        matrix = []
-        if candidates:
-            matrix = cross_execute(candidates, [seed_trees[key] for key in keys])
-            choice = synthesize(
-                candidates,
-                matrix,
-                seed_values,
-                mode=args.mode,
-                gateway=gateway,
-                instruction=instruction,
-                seed_ids=seed_ids,
-                gold_values=gold_values if args.gold else None,
-            )
-            chosen: Optional[dict] = choice.sequence.to_record()
-            index: Optional[int] = choice.index
-        else:
+    def plan(path: Path) -> _Walk:
+        case_id, instruction, candidates, seeds, proposed = read_record(path, _decode_candidates)
+        seed_ids = [seed.page_id for seed in seeds]
+        columns: list[list] = [[] for _ in seeds]  # matrix columns, one per seed
+
+        def visit(index: int, page: DocumentTree) -> None:
+            columns[index] = [row[0] for row in cross_execute(candidates, [page])]
+
+        def done() -> None:
+            matrix = list(zip(*columns))
             chosen, index = None, None
-        dump_json(
-            {
-                "case_id": case_id,
-                "chosen_index": index,
-                "candidates": [c.to_record() for c in candidates],
-                "matrix": [
-                    [result.to_record() for result in row] for row in matrix
-                ],
-                "seed_ids": seed_ids,
-                "sequence": chosen,
-            },
-            out / f"{case_id}.json",
-        )
-        count += 1
+            if candidates:
+                choice = synthesize(
+                    candidates, matrix, proposed, mode=args.mode, gateway=gateway,
+                    instruction=instruction, seed_ids=seed_ids,
+                    gold_values=[seed.gold for seed in seeds] if args.gold else None,
+                )
+                chosen, index = choice.sequence.to_record(), choice.index
+            dump_json(
+                {
+                    "case_id": case_id,
+                    "chosen_index": index,
+                    "candidates": [c.to_record() for c in candidates],
+                    "matrix": [[result.to_record() for result in row] for row in matrix],
+                    "seed_ids": seed_ids,
+                    "sequence": chosen,
+                },
+                out / f"{case_id}.json",
+            )
+
+        return _Walk(seeds, visit, done)
+
+    walks = [plan(path) for path in _case_files(candidates_dir / "candidates")]
+    # Candidates files do not name their website, but a page's (html_path,
+    # page_id) is unique in a corpus, so every case goes in one group.
+    _walk_websites(corpus_root, [walks], 1)
     dump_json(meta, out / "_meta.json")
-    print(f"synthesized {count} case(s)")
+    print(f"synthesized {len(walks)} case(s)")
     return 0
 
 

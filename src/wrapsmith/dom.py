@@ -3,7 +3,9 @@
 Pages arrive as messy real-world HTML, so parsing is forgiving: unclosed
 tags, stray end tags and character references are all absorbed. The result
 is an immutable tree that downstream stages can share freely across
-threads, and a pruned tree is a view that shares its page's nodes. Cleanup
+threads, and a pruned tree is a view that shares its page's nodes. Nodes
+link only to their children; a page's ``parents`` table links them back, so
+a page holds no reference cycle and is freed as soon as it is dropped. Cleanup
 strips ``script``/``style`` subtrees, comments, and every attribute except
 ``class``. Size metrics (token count, tree height) are taken over the
 serialization's parts, in which each tag is its own whitespace-delimited
@@ -48,11 +50,10 @@ KEEP_ATTR = "class"
 class TextNode:
     """A run of character data inside an element."""
 
-    __slots__ = ("text", "parent", "order")
+    __slots__ = ("text", "order")
 
     def __init__(self, text: str) -> None:
         self.text = text
-        self.parent: Optional["ElementNode"] = None
         self.order = -1
 
     def __repr__(self) -> str:
@@ -62,11 +63,10 @@ class TextNode:
 class CommentNode:
     """An HTML comment; survives parsing, dropped by preprocessing."""
 
-    __slots__ = ("text", "parent", "order")
+    __slots__ = ("text", "order")
 
     def __init__(self, text: str) -> None:
         self.text = text
-        self.parent: Optional["ElementNode"] = None
         self.order = -1
 
     def __repr__(self) -> str:
@@ -80,7 +80,7 @@ class ElementNode:
     shares them; preprocessing produces fresh nodes.
     """
 
-    __slots__ = ("tag", "attrs", "children", "parent", "order")
+    __slots__ = ("tag", "attrs", "children", "order")
 
     def __init__(
         self,
@@ -91,7 +91,6 @@ class ElementNode:
         self.tag = tag
         self.attrs = tuple(attrs)
         self.children = tuple(children)
-        self.parent: Optional["ElementNode"] = None
         self.order = -1
 
     def get(self, name: str) -> Optional[str]:
@@ -144,21 +143,23 @@ class TreeMetrics:
 
 
 class DocumentTree:
-    """A parsed page, or a pruned view of one: a root element plus an opaque
-    source identifier. Its nodes never change, so it renders once and every
-    caller of :meth:`to_html` and :func:`measure` shares that rendering."""
+    """A parsed page, or a pruned view of one: a root element, an opaque
+    source identifier and the page's ``parents`` table, in which
+    ``parents[node.order]`` is a node's parent (``None`` for the page root,
+    the node of order 0). Its nodes never change, so it renders once and
+    every caller of :meth:`to_html` and :func:`measure` shares that."""
 
-    __slots__ = ("root", "source_id", "_rendered")
+    __slots__ = ("root", "source_id", "parents", "_rendered")
 
-    def __init__(self, root: ElementNode, source_id: str) -> None:
+    def __init__(self, root: ElementNode, source_id: str, parents: list) -> None:
         self.root = root
         self.source_id = source_id
+        self.parents = parents
         self._rendered: Optional[tuple[str, TreeMetrics]] = None
 
     @classmethod
     def from_root(cls, root: ElementNode, source_id: str) -> "DocumentTree":
-        _freeze(root)
-        return cls(root, source_id)
+        return cls(root, source_id, _freeze(root))
 
     def to_html(self) -> str:
         return self._rendering()[0]
@@ -176,23 +177,23 @@ class DocumentTree:
 
     def subtree(self, element: ElementNode) -> "DocumentTree":
         """A view rooted at ``element`` that shares this tree's nodes."""
-        return DocumentTree(element, self.source_id)
+        return DocumentTree(element, self.source_id, self.parents)
 
     def __repr__(self) -> str:
         return f"<DocumentTree {self.source_id!r} root={self.root.tag!r}>"
 
 
-def _freeze(root: ElementNode) -> None:
-    order = 0
-    stack: list[Node] = [root]
+def _freeze(root: ElementNode) -> list[Optional[ElementNode]]:
+    """Number the nodes in document order and return their parents table."""
+    parents: list[Optional[ElementNode]] = []
+    stack: list[tuple[Node, Optional[ElementNode]]] = [(root, None)]
     while stack:
-        node = stack.pop()
-        node.order = order
-        order += 1
+        node, parent = stack.pop()
+        node.order = len(parents)
+        parents.append(parent)
         if isinstance(node, ElementNode):
-            for child in node.children:
-                child.parent = node
-            stack.extend(reversed(node.children))
+            stack.extend((child, node) for child in reversed(node.children))
+    return parents
 
 
 def _escape_text(text: str) -> str:

@@ -21,8 +21,8 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
-from .dataset import CorpusManifest, build_cases, dump_json
-from .dom import parse_html, preprocess
+from .dataset import CorpusManifest, WebpageCase, build_cases, dump_json
+from .dom import DocumentTree
 from .gateway import BackendConfig, BackendKind, LlmGateway, ScriptTable, prompt_fingerprint
 from .generation import StrategyConfig, generate
 
@@ -165,23 +165,33 @@ def build_synthetic_corpus(
     dump_json(manifest_record, manifest_path)
 
     # Record a scripted entry for every page of every case, so any seed
-    # selection later replays without the policy.
+    # selection later replays without the policy. The cases of a website
+    # share its pages, so each page is loaded once for all of them.
+    from .cli import _Walk, _walk_websites  # cli imports this module
+
     recorder = _Recorder()
     gateway = LlmGateway(BackendConfig(kind=BackendKind.SCRIPTED), transport=recorder)
     manifest = CorpusManifest.load(manifest_path)
     cfg = StrategyConfig(d_max=d_max)
-    for case in build_cases(manifest, sample_n=pages_per_site, rng_seed=0):
-        for record in case.pages:
-            page = preprocess(parse_html(
-                (root / record.html_path).read_text(encoding="utf-8"),
-                record.page_id,
-            ))
+
+    def stage(case: WebpageCase) -> _Walk:
+        def visit(index: int, page: DocumentTree) -> None:
             sequence, trace = generate(page, case.instruction, gateway, cfg)
             if sequence is None:
                 raise AssertionError(
-                    f"fixture staging failed for {case.case_id}/{record.page_id}: "
+                    f"fixture staging failed for {case.case_id}/{page.source_id}: "
                     f"{trace.failure_reason}"
                 )
+
+        return _Walk(case.pages, visit, lambda: None)
+
+    websites: dict[tuple[str, str], list[_Walk]] = {}
+    for case in build_cases(manifest, sample_n=pages_per_site, rng_seed=0):
+        websites.setdefault((case.domain, case.website), []).append(stage(case))
+    _walk_websites(root, websites.values(), 1)
+    failure = next((w.failure for ws in websites.values() for w in ws if w.failure), None)
+    if failure is not None:
+        raise failure
 
     script_path = root / "script.json"
     ScriptTable(recorder.entries).save(script_path)

@@ -31,6 +31,7 @@ from hashlib import sha256
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence
 
+from .dataset import dump_json, read_record
 from .dom import DocumentTree
 from .executor import normalize_value, normalize_values
 from .prompts import render_prompt
@@ -84,21 +85,25 @@ class BackendConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "BackendConfig":
+        """Read a backend config; an ill-typed field is a data error."""
         path = Path(path)
-        raw = json.loads(path.read_text(encoding="utf-8"))
-        script_path = raw.get("script_path")
-        if script_path is not None:
-            script_path = str((path.parent / script_path).resolve())
-        config = cls(
-            kind=BackendKind(raw.get("kind", "scripted")),
-            endpoint=raw.get("endpoint", ""),
-            credential_env=raw.get("credential_env", ""),
-            model=raw.get("model", ""),
-            timeout_s=float(raw.get("timeout_s", 30.0)),
-            max_retries=int(raw.get("max_retries", 2)),
-            rate_limit_per_minute=int(raw.get("rate_limit_per_minute", 0)),
-            script_path=script_path,
-        )
+
+        def decode(raw: dict) -> "BackendConfig":
+            script_path = raw.get("script_path")
+            if script_path is not None:
+                script_path = str((path.parent / script_path).resolve())
+            return cls(
+                kind=BackendKind(raw.get("kind", "scripted")),
+                endpoint=raw.get("endpoint", ""),
+                credential_env=raw.get("credential_env", ""),
+                model=raw.get("model", ""),
+                timeout_s=float(raw.get("timeout_s", 30.0)),
+                max_retries=int(raw.get("max_retries", 2)),
+                rate_limit_per_minute=int(raw.get("rate_limit_per_minute", 0)),
+                script_path=script_path,
+            )
+
+        config = read_record(path, decode)
         config.validate()
         return config
 
@@ -251,21 +256,13 @@ class ScriptTable:
 
     @classmethod
     def load(cls, path: str | Path) -> "ScriptTable":
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-        return cls(raw.get("entries", {}))
+        return read_record(path, lambda raw: cls(raw.get("entries", {})))
 
     def save(self, path: str | Path) -> None:
-        record = {"entries": dict(sorted(self.entries.items()))}
-        Path(path).write_text(
-            json.dumps(record, ensure_ascii=False, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
+        dump_json({"entries": self.entries}, path)
 
     def lookup(self, fingerprint: str) -> Optional[str]:
         return self.entries.get(fingerprint)
-
-    def add(self, fingerprint: str, response: str) -> None:
-        self.entries[fingerprint] = response
 
 
 class LlmGateway:

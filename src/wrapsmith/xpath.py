@@ -35,12 +35,14 @@ class XPathSyntaxError(ValueError):
 
 
 class DocumentNode:
-    """Virtual node above the root element; target of ``/`` and root ``..``."""
+    """Virtual node above the root element; target of ``/`` and root ``..``.
+    It carries the page's ``parents`` table, which the parent axes read."""
 
-    __slots__ = ("root",)
+    __slots__ = ("root", "parents")
 
-    def __init__(self, root: ElementNode) -> None:
-        self.root = root
+    def __init__(self, tree: DocumentTree) -> None:
+        self.root = tree.root
+        self.parents = tree.parents
 
     @property
     def children(self) -> tuple[Node, ...]:
@@ -471,7 +473,7 @@ def _parent_of(node: XNode, document: DocumentNode) -> Optional[XNode]:
         return document
     if isinstance(node, AttributeValue):
         return node.owner
-    return node.parent
+    return document.parents[node.order]
 
 
 def _children_of(node: XNode) -> tuple[Node, ...]:
@@ -712,7 +714,7 @@ def evaluate(tree: DocumentTree, expression: str) -> list[XNode]:
     Raises :class:`XPathSyntaxError` for expressions outside the dialect.
     """
     ast = parse_xpath(expression)
-    document = DocumentNode(tree.root)
+    document = DocumentNode(tree)
     ctx = _Context(document, 1, 1, document)
     return _evaluate_paths(ast, ctx)
 
@@ -731,7 +733,7 @@ def climb(tree: DocumentTree, expression: str) -> Iterator[Optional[XNode]]:
     Raises :class:`XPathSyntaxError` as :func:`evaluate` does.
     """
     *fixed_paths, last = parse_xpath(expression + "/..").paths
-    document = DocumentNode(tree.root)
+    document = DocumentNode(tree)
     ctx = _Context(document, 1, 1, document)
     fixed = _evaluate_paths(UnionExpr(tuple(fixed_paths)), ctx)[:1]
     nodes = _evaluate_paths(last, ctx)

@@ -239,14 +239,15 @@ def elements(node: ElementNode) -> list[ElementNode]:
     return [n for n in node.iter_nodes() if isinstance(n, ElementNode)]
 
 
-def positional_xpath(element: ElementNode) -> str:
-    """Absolute xpath that uniquely selects ``element`` via positions."""
+def positional_xpath(tree, element: ElementNode) -> str:
+    """Absolute xpath that uniquely selects ``element`` of ``tree`` via positions."""
     steps: list[str] = []
     node = element
-    while node.parent is not None:
-        same_tag = [c for c in node.parent.element_children if c.tag == node.tag]
+    while tree.parents[node.order] is not None:
+        parent = tree.parents[node.order]
+        same_tag = [c for c in parent.element_children if c.tag == node.tag]
         steps.append(f"{node.tag}[{same_tag.index(node) + 1}]")
-        node = node.parent
+        node = parent
     steps.append(node.tag)
     return "/" + "/".join(reversed(steps))
 

@@ -1,3 +1,4 @@
+import gc
 import json
 
 import pytest
@@ -194,9 +195,36 @@ class TestWalkSeedPagesOnce:
         drawn = self.all_seed_keys(cases)
         distinct = set().union(*drawn)
         assert max(sum(key in keys for keys in drawn) for key in distinct) > 1
-        # A page's root has no parent; a pruned view's root has one.
-        pages = [root for root in rendered if root.parent is None]
+        # A page's root comes first in document order; a pruned view's does not.
+        pages = [root for root in rendered if root.order == 0]
         assert len(pages) == len(distinct) == len({id(root) for root in pages})
+
+    def test_a_dropped_page_is_freed_before_the_next_loads(self, tmp_path, monkeypatch):
+        write_pages(tmp_path / "corpus", ["p1", "p2", "p3"])
+
+        def live_nodes():
+            return sum(isinstance(o, dom.ElementNode) for o in gc.get_objects())
+
+        live = []
+        original = cli._load_page
+
+        def loading(*args):
+            live.append(live_nodes())
+            return original(*args)
+
+        monkeypatch.setattr(cli, "_load_page", loading)
+        visited = []
+        pages = [PageRecord(p, f"{p}.html", ()) for p in ("p1", "p2", "p3")]
+        walk = cli._Walk(pages, lambda index, page: visited.append(index), lambda: None)
+        gc.collect()
+        gc.disable()  # only reference counting may free a page
+        try:
+            before = live_nodes()
+            cli._walk_websites(tmp_path / "corpus", [[walk]], 1)
+        finally:
+            gc.enable()
+        assert visited == [0, 1, 2]
+        assert live == [before] * 3
 
 
 class TestPipelineTail:
@@ -301,7 +329,7 @@ class TestParseOncePerWebsite:
         assert run_cli("run", "--sequences", seq, "--cases", cases, "--out", tmp / "results") == 0
         assert len(count_parses) == len(pages) == 200  # 10 sites x 20 sampled pages
 
-    def test_synthesize_reuses_previous_case_seed_pages(self, tmp_path, count_parses):
+    def test_synthesize_parses_each_seed_page_once(self, tmp_path, count_parses):
         write_pages(tmp_path / "corpus", ["p1", "p2", "p3"])
         gen = tmp_path / "gen"
         (gen / "candidates").mkdir(parents=True)
@@ -319,7 +347,8 @@ class TestParseOncePerWebsite:
                 "trace_file": f"traces/{page_id}.json",
             }
 
-        for attribute, page_ids in (("a", ["p1", "p2"]), ("b", ["p2", "p3"])):
+        # Case ``c`` draws ``p1`` again after ``b`` has drawn other pages.
+        for attribute, page_ids in (("a", ["p1", "p2"]), ("b", ["p3"]), ("c", ["p1"])):
             case_id = f"d__w__{attribute}"
             dump_json(
                 {"case_id": case_id, "instruction": "i", "strategy": "progressive",
@@ -327,10 +356,11 @@ class TestParseOncePerWebsite:
                 gen / "candidates" / f"{case_id}.json",
             )
         assert run_cli("synthesize", "--candidates", gen, "--out", tmp_path / "seq") == 0
-        assert count_parses == ["p1", "p2", "p3"]
-        chosen = json.loads((tmp_path / "seq" / "d__w__b.json").read_text())
-        assert [row[1]["values"] for row in chosen["matrix"]] == [["p3"], ["p3"]]
-
+        assert sorted(count_parses) == ["p1", "p2", "p3"]
+        chosen = json.loads((tmp_path / "seq" / "d__w__a.json").read_text())
+        assert [[r["values"] for r in row] for row in chosen["matrix"]] == [[["p1"], ["p2"]]] * 2
+        chosen = json.loads((tmp_path / "seq" / "d__w__c.json").read_text())
+        assert [[r["values"] for r in row] for row in chosen["matrix"]] == [[["p1"]]]
 
     def test_run_missing_page_is_data_error(self, tmp_path, capsys):
         write_pages(tmp_path / "corpus", ["p1"])
@@ -568,6 +598,23 @@ class TestMalformedInputs:
         error = json.loads(capsys.readouterr().err.strip())
         assert error["error"] == "DatasetError"
 
+    @pytest.mark.parametrize("backend, script", [
+        ([], None),
+        ({"timeout_s": None}, None),
+        ({"kind": "scripted", "script_path": "script.json"}, []),
+    ])
+    def test_malformed_backend_or_script_is_data_error(self, tmp_path, capsys, backend, script):
+        cases = tmp_path / "cases"
+        cases.mkdir()
+        dump_json({"corpus_root": str(tmp_path)}, cases / "_meta.json")
+        dump_json(backend, tmp_path / "backend.json")
+        if script is not None:
+            dump_json(script, tmp_path / "script.json")
+        assert run_cli("generate", "--cases", cases, "--backend", tmp_path / "backend.json",
+                       "--out", tmp_path / "out") == 3
+        error = json.loads(capsys.readouterr().err.strip())
+        assert error["error"] == "DatasetError"
+
     def test_deeply_nested_record_is_data_error(self, tmp_path, capsys):
         trace = tmp_path / "t.json"
         trace.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
@@ -644,3 +691,16 @@ class TestCorpusCommand:
         assert "synthetic corpus written" in out
         assert (tmp_path / "mini" / "manifest.json").exists()
         assert (tmp_path / "mini" / "script.json").exists()
+
+    def test_each_page_is_parsed_once(self, tmp_path, monkeypatch):
+        # Both attributes of a site are staged on one parse of each page.
+        fed = []
+        original = dom._TreeBuilder.feed
+
+        def feeding(builder, raw):
+            fed.append(raw)
+            original(builder, raw)
+
+        monkeypatch.setattr(dom._TreeBuilder, "feed", feeding)
+        assert run_cli("corpus", "--out", tmp_path / "mini", "--sites", 2, "--pages", 4) == 0
+        assert len(fed) == len(set(fed)) == 8  # 2 sites x 4 pages, each page distinct

@@ -186,8 +186,8 @@ class TestSubtree:
         sub = tree.subtree(span)
         assert sub.root is span and sub.source_id == "t"
         assert sub.to_html() == '<span class="s">x</span>'
-        # The view ends at its root although ``span.parent`` is the div.
-        assert span.parent is tree.root
+        # The view ends at its root although the page's parent of ``span`` is the div.
+        assert sub.parents[span.order] is tree.root
         [document] = evaluate(sub, "/span/..")
         assert isinstance(document, DocumentNode) and document.root is span
         assert evaluate(sub, "//span/../..") == []

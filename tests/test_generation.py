@@ -199,8 +199,9 @@ def _step_back_cases(rng, pages):
             step = element.tag
             if element.class_attr and rng.random() < 0.5:
                 step += f"[@class='{element.class_attr}']"
-            if element.parent is not None and rng.random() < 0.3:
-                step = f"{element.parent.tag}/{step}"
+            parent = tree.parents[element.order]
+            if parent is not None and rng.random() < 0.3:
+                step = f"{parent.tag}/{step}"
             return "//" + step + rng.choice(_STEP_BACK_TAILS)
 
         proposals = [path() for _ in range(4)]

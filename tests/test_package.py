@@ -32,7 +32,8 @@ def test_every_exported_name_resolves():
 
 def test_only_dom_links_nodes():
     # Pruned trees are views that share their page's nodes, so no module
-    # but ``dom`` may rewrite a node's links.
+    # but ``dom`` may rewrite a node's links: its ``order``, its ``children``
+    # and its entry in the page's ``parents`` table.
     linking = []
     for path in sorted(PACKAGE.glob("*.py")):
         if path.name == "dom.py":
@@ -45,8 +46,10 @@ def test_only_dom_links_nodes():
             else:
                 continue
             linking += [
-                f"{path.name}:{node.lineno} .{t.attr}"
+                f"{path.name}:{node.lineno} {ast.unparse(t)}"
                 for target in targets for t in ast.walk(target)
-                if isinstance(t, ast.Attribute) and t.attr in ("parent", "order", "children")
+                if (isinstance(t, ast.Attribute) and t.attr in ("order", "children"))
+                or (isinstance(t, ast.Subscript) and isinstance(t.value, ast.Attribute)
+                    and t.value.attr == "parents")
             ]
     assert linking == []

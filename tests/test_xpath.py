@@ -248,11 +248,11 @@ def test_parent_append_selects_parent(seed):
     if not below_root:
         return
     target = rng.choice(below_root)
-    expression = positional_xpath(target)
+    expression = positional_xpath(tree, target)
     matches = evaluate(tree, expression)
     assert matches == [target]
     parents = evaluate(tree, expression + "/..")
-    assert parents == [target.parent]
+    assert parents == [tree.parents[target.order]]
 
 
 # Expressions that reach the edge of a pruned tree: its root's parent, its
