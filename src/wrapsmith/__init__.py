@@ -7,7 +7,7 @@ generalizes across seed pages, executes it over the whole page set, and
 scores the outcome with a six-way executability label.
 """
 
-from .dom import DocumentTree, TreeMetrics, measure, parse_html, preprocess
+from .dom import DocumentTree, TreeMetrics, measure, parse_html
 from .executor import (
     ActionSequence,
     ExtractionResult,
@@ -48,7 +48,6 @@ __all__ = [
     "generate",
     "measure",
     "parse_html",
-    "preprocess",
     "select_seeds",
     "synthesize",
 ]

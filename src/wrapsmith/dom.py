@@ -1,17 +1,18 @@
-"""Immutable HTML document trees: tolerant parsing, cleanup, size metrics.
+"""Immutable HTML document trees: tolerant, cleaning parsing and size metrics.
 
 Pages arrive as messy real-world HTML, so parsing is forgiving: unclosed
-tags, stray end tags and character references are all absorbed. The result
-is an immutable tree that downstream stages can share freely across
-threads, and a pruned tree is a view that shares its page's nodes. Nodes
-link only to their children; a page's ``parents`` table links them back, so
-a page holds no reference cycle and is freed as soon as it is dropped. Cleanup
-strips ``script``/``style`` subtrees, comments, and every attribute except
-``class``. Size metrics (token count, tree height) are taken over the
-serialization's parts, in which each tag is its own whitespace-delimited
-token, which keeps both measures monotone under pruning. Every walk over a
-tree uses an explicit stack, so no nesting depth reaches the interpreter's
-recursion limit.
+tags, stray end tags and character references are all absorbed. Parsing
+also cleans, in the same pass: ``script``/``style`` subtrees, comments,
+declarations and every attribute except ``class`` never enter the tree, so
+each page is built and frozen once. The result is an immutable tree that
+downstream stages can share freely across threads, and a pruned tree is a
+view that shares its page's nodes. Nodes link only to their children; a
+page's ``parents`` table links them back, so a page holds no reference
+cycle and is freed as soon as it is dropped. Size metrics (token count,
+tree height) are taken over the serialization's parts, in which each tag is
+its own whitespace-delimited token, which keeps both measures monotone under
+pruning. Every walk over a tree uses an explicit stack, so no nesting depth
+reaches the interpreter's recursion limit.
 """
 
 from __future__ import annotations
@@ -40,10 +41,10 @@ VOID_TAGS = frozenset({
     "link", "meta", "param", "source", "track", "wbr",
 })
 
-#: Subtrees removed wholesale during preprocessing.
+#: Subtrees the parser drops wholesale.
 STRIP_TAGS = frozenset({"script", "style"})
 
-#: The single attribute preserved by preprocessing.
+#: The single attribute the parser keeps.
 KEEP_ATTR = "class"
 
 
@@ -60,24 +61,11 @@ class TextNode:
         return f"TextNode({self.text!r})"
 
 
-class CommentNode:
-    """An HTML comment; survives parsing, dropped by preprocessing."""
-
-    __slots__ = ("text", "order")
-
-    def __init__(self, text: str) -> None:
-        self.text = text
-        self.order = -1
-
-    def __repr__(self) -> str:
-        return f"CommentNode({self.text!r})"
-
-
 class ElementNode:
     """An element with ordered children and an attribute list.
 
-    Nodes are frozen once their :class:`DocumentTree` is built. Pruning
-    shares them; preprocessing produces fresh nodes.
+    Nodes are frozen once, when their page's :class:`DocumentTree` is built,
+    and pruned views share them.
     """
 
     __slots__ = ("tag", "attrs", "children", "order")
@@ -129,7 +117,7 @@ class ElementNode:
         return f"<ElementNode {self.tag}{cls} children={len(self.children)}>"
 
 
-Node = Union[ElementNode, TextNode, CommentNode]
+Node = Union[ElementNode, TextNode]
 
 
 @dataclass(frozen=True)
@@ -221,8 +209,6 @@ def _render(root: ElementNode) -> tuple[str, TreeMetrics]:
             depth -= 1
         elif isinstance(node, TextNode):
             parts.append(_escape_text(node.text))
-        elif isinstance(node, CommentNode):
-            parts.append(f"<!--{node.text}-->")
         else:
             parts.append(_open_tag(node))
             height = max(height, depth + 1)
@@ -248,27 +234,34 @@ def normalize_escapes(value: str) -> str:
     return _htmllib.unescape(value)
 
 
+def _class_pairs(attrs) -> tuple[tuple[str, str], ...]:
+    """A start tag's ``class`` attributes, in order, duplicates kept;
+    ``html.parser`` has already lowercased the names."""
+    return tuple((k, v or "") for k, v in attrs if k == KEEP_ATTR)
+
+
 class _TreeBuilder(HTMLParser):
-    """Tolerant tree builder: auto-closes at EOF, absorbs stray end tags,
-    closes mis-nested elements up to the nearest matching open tag."""
+    """Tolerant, cleaning tree builder: auto-closes at EOF, absorbs stray end
+    tags, closes mis-nested elements up to the nearest matching open tag.
+    Comments and declarations fall through to the base class's no-op
+    handlers."""
 
     def __init__(self) -> None:
         super().__init__(convert_charrefs=True)
         # Sentinel frame collects finished top-level nodes.
         self._stack: list[list] = [["", (), []]]
+        #: Top-level script/style elements dropped; they count for the root choice.
+        self.dropped_top = 0
 
     def handle_starttag(self, tag: str, attrs) -> None:
         tag = tag.lower()
-        pairs = tuple((k.lower(), v if v is not None else "") for k, v in attrs)
         if tag in VOID_TAGS:
-            self._stack[-1][2].append(ElementNode(tag, pairs))
+            self._append(tag, _class_pairs(attrs), ())
         else:
-            self._stack.append([tag, pairs, []])
+            self._stack.append([tag, _class_pairs(attrs), []])
 
     def handle_startendtag(self, tag: str, attrs) -> None:
-        tag = tag.lower()
-        pairs = tuple((k.lower(), v if v is not None else "") for k, v in attrs)
-        self._stack[-1][2].append(ElementNode(tag, pairs))
+        self._append(tag.lower(), _class_pairs(attrs), ())
 
     def handle_endtag(self, tag: str) -> None:
         tag = tag.lower()
@@ -285,21 +278,15 @@ class _TreeBuilder(HTMLParser):
         if data:
             self._stack[-1][2].append(TextNode(data))
 
-    def handle_comment(self, data: str) -> None:
-        self._stack[-1][2].append(CommentNode(data))
-
-    def handle_decl(self, decl: str) -> None:
-        pass  # doctype carries no extraction semantics
-
-    def unknown_decl(self, data: str) -> None:
-        pass
-
-    def handle_pi(self, data: str) -> None:
-        pass
-
     def _close_top(self) -> None:
-        tag, attrs, children = self._stack.pop()
-        self._stack[-1][2].append(ElementNode(tag, attrs, tuple(children)))
+        self._append(*self._stack.pop())
+
+    def _append(self, tag: str, attrs: tuple, children) -> None:
+        """Add a finished element to the open one, unless it is a script/style."""
+        if tag not in STRIP_TAGS:
+            self._stack[-1][2].append(ElementNode(tag, attrs, children))
+        elif len(self._stack) == 1:
+            self.dropped_top += 1
 
     def finish(self) -> list[Node]:
         while len(self._stack) > 1:
@@ -308,12 +295,14 @@ class _TreeBuilder(HTMLParser):
 
 
 def parse_html(raw: str, source_id: str = "") -> DocumentTree:
-    """Parse possibly-malformed HTML into a :class:`DocumentTree`.
+    """Parse possibly-malformed HTML into a cleaned :class:`DocumentTree`.
 
     Raises :class:`EmptyInput` for blank input and :class:`ParseFailure`
     when no element content can be recovered at all. A document with a
     single top-level element is rooted there; fragments with several
-    top-level nodes are wrapped in a synthetic ``html`` element.
+    top-level nodes are wrapped in a synthetic ``html`` element. A dropped
+    top-level ``script``/``style`` still counts as a top-level element, and
+    a page whose only element is one gets an empty ``html`` root.
     """
     if not raw or not raw.strip():
         raise EmptyInput("blank HTML input")
@@ -322,48 +311,22 @@ def parse_html(raw: str, source_id: str = "") -> DocumentTree:
     builder.close()
     top = builder.finish()
     elements = [n for n in top if isinstance(n, ElementNode)]
-    if not elements:
+    if not elements and not builder.dropped_top:
         raise ParseFailure("no element content found")
     loose_text = any(
         isinstance(n, TextNode) and n.text.strip() for n in top
     )
-    if len(elements) == 1 and not loose_text:
-        root = elements[0]
+    if len(elements) + builder.dropped_top == 1 and not loose_text:
+        root = elements[0] if elements else ElementNode("html")
     else:
         root = ElementNode("html", (), tuple(top))
     return DocumentTree.from_root(root, source_id)
 
 
-def _cleaned(root: ElementNode) -> ElementNode:
-    """Fresh copy of ``root`` without comments, script/style subtrees and
-    non-``class`` attributes, built top-down: each copy gets its children
-    once they are known, before the tree is frozen."""
-
-    def bare_copy(el: ElementNode) -> ElementNode:
-        return ElementNode(el.tag, tuple((k, v) for k, v in el.attrs if k == KEEP_ATTR))
-
-    top = bare_copy(root)
-    stack = [(root, top)]
-    while stack:
-        el, copy = stack.pop()
-        kept: list[Node] = []
-        for child in el.children:
-            if isinstance(child, TextNode):
-                kept.append(TextNode(child.text))
-            elif isinstance(child, ElementNode) and child.tag not in STRIP_TAGS:
-                twin = bare_copy(child)
-                kept.append(twin)
-                stack.append((child, twin))
-        copy.children = tuple(kept)
-    return top
-
-
 def preprocess(tree: DocumentTree) -> DocumentTree:
-    """Drop script/style subtrees and comments, keep only ``class`` attrs.
+    """Return ``tree`` as it is: :func:`parse_html` already cleans.
 
-    Idempotent, never grows the tree; text is untouched (the parser has
-    already resolved character references).
+    Kept as an identity because the benchmark harness in ``perfbench/``
+    still calls and traces it.
     """
-    if tree.root.tag in STRIP_TAGS:
-        return DocumentTree.from_root(ElementNode("html"), tree.source_id)
-    return DocumentTree.from_root(_cleaned(tree.root), tree.source_id)
+    return tree

@@ -188,8 +188,7 @@ def build_synthetic_corpus(
     websites: dict[tuple[str, str], list[_Walk]] = {}
     for case in build_cases(manifest, sample_n=pages_per_site, rng_seed=0):
         websites.setdefault((case.domain, case.website), []).append(stage(case))
-    _walk_websites(root, websites.values(), 1)
-    failure = next((w.failure for ws in websites.values() for w in ws if w.failure), None)
+    failure = _walk_websites(root, websites.values(), 1)
     if failure is not None:
         raise failure
 

@@ -27,7 +27,7 @@ from functools import lru_cache
 from itertools import chain, islice
 from typing import Iterable, Iterator, Optional, Union
 
-from .dom import CommentNode, DocumentTree, ElementNode, Node, TextNode
+from .dom import DocumentTree, ElementNode, Node, TextNode
 
 
 class XPathSyntaxError(ValueError):
@@ -536,8 +536,6 @@ def _ancestors(node: XNode, or_self: bool, document: DocumentNode) -> Iterator[X
 
 
 def _test_matches(test: NodeTest, node: XNode, axis: str) -> bool:
-    if isinstance(node, CommentNode):
-        return False
     if axis == "attribute":
         if not isinstance(node, AttributeValue):
             return False

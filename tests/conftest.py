@@ -6,7 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from wrapsmith.dom import parse_html, preprocess
+from wrapsmith.dom import parse_html
 from wrapsmith.gateway import BackendConfig, BackendKind, LlmGateway
 
 
@@ -24,7 +24,7 @@ PLAYER_PAGE = """<html><body>
 
 @pytest.fixture
 def player_page():
-    return preprocess(parse_html(PLAYER_PAGE, "player-1"))
+    return parse_html(PLAYER_PAGE, "player-1")
 
 
 def make_gateway(transport, **config_kwargs):

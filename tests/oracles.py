@@ -4,6 +4,11 @@ The rendering and cleanup oracles are the recursive walkers the package
 used before its walks took an explicit stack: ``_serialize``, ``_height``
 and ``preprocess``'s ``rebuild``.
 
+The parse oracle is the tree builder the package used before it cleaned
+while parsing: it keeps comments, ``script``/``style`` subtrees and every
+attribute, and picks the root among all of them; ``reference_preprocess``
+then cleans that raw tree into fresh nodes.
+
 The subtree oracle builds a pruned tree the way the package did before
 pruned trees became views of their page: fresh nodes, frozen anew.
 
@@ -28,14 +33,16 @@ import html as htmllib
 import json
 import random
 import xml.etree.ElementTree as ET
+from html.parser import HTMLParser
 
 from wrapsmith.dom import (
     KEEP_ATTR,
     STRIP_TAGS,
     VOID_TAGS,
-    CommentNode,
     DocumentTree,
     ElementNode,
+    EmptyInput,
+    ParseFailure,
     TextNode,
     TreeMetrics,
     measure,
@@ -184,6 +191,80 @@ def _reference_height(el: ElementNode) -> int:
     return best + 1
 
 
+class CommentNode:
+    """An HTML comment of a raw tree."""
+
+    __slots__ = ("text", "order")
+
+    def __init__(self, text: str) -> None:
+        self.text = text
+        self.order = -1
+
+
+class _RawTreeBuilder(HTMLParser):
+    """Tolerant builder that keeps comments, script/style and every attribute."""
+
+    def __init__(self) -> None:
+        super().__init__(convert_charrefs=True)
+        self._stack: list[list] = [["", (), []]]
+
+    def handle_starttag(self, tag, attrs):
+        tag = tag.lower()
+        pairs = tuple((k.lower(), v if v is not None else "") for k, v in attrs)
+        if tag in VOID_TAGS:
+            self._stack[-1][2].append(ElementNode(tag, pairs))
+        else:
+            self._stack.append([tag, pairs, []])
+
+    def handle_startendtag(self, tag, attrs):
+        pairs = tuple((k.lower(), v if v is not None else "") for k, v in attrs)
+        self._stack[-1][2].append(ElementNode(tag.lower(), pairs))
+
+    def handle_endtag(self, tag):
+        tag = tag.lower()
+        if tag in VOID_TAGS:
+            return
+        for i in range(len(self._stack) - 1, 0, -1):
+            if self._stack[i][0] == tag:
+                while len(self._stack) > i:
+                    self._close_top()
+                return
+
+    def handle_data(self, data):
+        if data:
+            self._stack[-1][2].append(TextNode(data))
+
+    def handle_comment(self, data):
+        self._stack[-1][2].append(CommentNode(data))
+
+    def _close_top(self):
+        tag, attrs, children = self._stack.pop()
+        self._stack[-1][2].append(ElementNode(tag, attrs, tuple(children)))
+
+    def finish(self) -> list:
+        while len(self._stack) > 1:
+            self._close_top()
+        return self._stack[0][2]
+
+
+def reference_parse(raw: str, source_id: str = "") -> DocumentTree:
+    """The raw, uncleaned tree of ``raw``: rooted at its single top-level
+    element (script/style included), else wrapped in ``html``."""
+    if not raw.strip():
+        raise EmptyInput("blank HTML input")
+    builder = _RawTreeBuilder()
+    builder.feed(raw)
+    builder.close()
+    top = builder.finish()
+    elements = [n for n in top if isinstance(n, ElementNode)]
+    if not elements:
+        raise ParseFailure("no element content found")
+    loose_text = any(isinstance(n, TextNode) and n.text.strip() for n in top)
+    if len(elements) == 1 and not loose_text:
+        return DocumentTree.from_root(elements[0], source_id)
+    return DocumentTree.from_root(ElementNode("html", (), tuple(top)), source_id)
+
+
 def reference_preprocess(tree: DocumentTree) -> DocumentTree:
     def rebuild(el: ElementNode) -> ElementNode:
         kept = []
@@ -227,8 +308,6 @@ def copied_subtree(tree: DocumentTree, element: ElementNode) -> DocumentTree:
     def copy(node):
         if isinstance(node, TextNode):
             return TextNode(node.text)
-        if isinstance(node, CommentNode):
-            return CommentNode(node.text)
         return ElementNode(node.tag, node.attrs, tuple(copy(c) for c in node.children))
 
     return DocumentTree.from_root(copy(element), tree.source_id)

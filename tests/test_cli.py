@@ -298,6 +298,56 @@ def write_pages(root, page_ids):
         (root / f"{page_id}.html").write_text(f"<div><b>{page_id}</b></div>", encoding="utf-8")
 
 
+def write_candidates(tmp_path, cases):
+    """Pages ``p1``..``p3`` and a ``generate`` output directory in which case
+    ``d__w__<attribute>``, asked to "get <attribute>", has one ``//b/text()``
+    candidate per seed page id; ``cases`` lists ``(attribute, page_ids)``."""
+    write_pages(tmp_path / "corpus", ["p1", "p2", "p3"])
+    gen = tmp_path / "gen"
+    (gen / "candidates").mkdir(parents=True)
+    dump_json({"corpus_root": str(tmp_path / "corpus")}, gen / "_meta.json")
+
+    def seed(page_id):
+        return {
+            "page_id": page_id,
+            "html_path": f"{page_id}.html",
+            "gold": [page_id],
+            "proposed_values": [page_id],
+            "sequence": ActionSequence(
+                ("//b/text()",), Provenance(page_id, "progressive")
+            ).to_record(),
+            "trace_file": f"traces/{page_id}.json",
+        }
+
+    for attribute, page_ids in cases:
+        case_id = f"d__w__{attribute}"
+        dump_json(
+            {"case_id": case_id, "instruction": f"get {attribute}", "strategy": "progressive",
+             "seeds": [seed(p) for p in page_ids]},
+            gen / "candidates" / f"{case_id}.json",
+        )
+    return gen
+
+
+class TestLoadPage:
+    def test_each_page_is_frozen_once(self, tmp_path, monkeypatch):
+        (tmp_path / "p.html").write_text(
+            "<html><!-- c --><body><script>s</script><p id='i' class='x'>a</p></body></html>",
+            encoding="utf-8",
+        )
+        frozen = []
+        original = dom._freeze
+
+        def counting(root):
+            frozen.append(root)
+            return original(root)
+
+        monkeypatch.setattr(dom, "_freeze", counting)
+        page = cli._load_page(tmp_path, "p.html", "p")
+        assert frozen == [page.root]
+        assert page.to_html() == '<html><body><p class="x">a</p></body></html>'
+
+
 class TestParseOncePerWebsite:
     @pytest.fixture
     def sequences(self, pipeline_dirs):
@@ -330,37 +380,45 @@ class TestParseOncePerWebsite:
         assert len(count_parses) == len(pages) == 200  # 10 sites x 20 sampled pages
 
     def test_synthesize_parses_each_seed_page_once(self, tmp_path, count_parses):
-        write_pages(tmp_path / "corpus", ["p1", "p2", "p3"])
-        gen = tmp_path / "gen"
-        (gen / "candidates").mkdir(parents=True)
-        dump_json({"corpus_root": str(tmp_path / "corpus")}, gen / "_meta.json")
-
-        def seed(page_id):
-            return {
-                "page_id": page_id,
-                "html_path": f"{page_id}.html",
-                "gold": [page_id],
-                "proposed_values": [page_id],
-                "sequence": ActionSequence(
-                    ("//b/text()",), Provenance(page_id, "progressive")
-                ).to_record(),
-                "trace_file": f"traces/{page_id}.json",
-            }
-
         # Case ``c`` draws ``p1`` again after ``b`` has drawn other pages.
-        for attribute, page_ids in (("a", ["p1", "p2"]), ("b", ["p3"]), ("c", ["p1"])):
-            case_id = f"d__w__{attribute}"
-            dump_json(
-                {"case_id": case_id, "instruction": "i", "strategy": "progressive",
-                 "seeds": [seed(p) for p in page_ids]},
-                gen / "candidates" / f"{case_id}.json",
-            )
+        gen = write_candidates(tmp_path, [("a", ["p1", "p2"]), ("b", ["p3"]), ("c", ["p1"])])
         assert run_cli("synthesize", "--candidates", gen, "--out", tmp_path / "seq") == 0
         assert sorted(count_parses) == ["p1", "p2", "p3"]
         chosen = json.loads((tmp_path / "seq" / "d__w__a.json").read_text())
         assert [[r["values"] for r in row] for row in chosen["matrix"]] == [[["p1"], ["p2"]]] * 2
         chosen = json.loads((tmp_path / "seq" / "d__w__c.json").read_text())
         assert [[r["values"] for r in row] for row in chosen["matrix"]] == [[["p1"]]]
+
+    def test_synthesize_backend_failure_writes_the_other_cases_then_exits_2(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        gen = write_candidates(tmp_path, [("a", ["p1"]), ("b", ["p2"])])
+        dump_json({"kind": "scripted", "script_path": "script.json"}, tmp_path / "backend.json")
+        ScriptTable({}).save(tmp_path / "script.json")
+        args = ("synthesize", "--candidates", gen, "--mode", "llm",
+                "--backend", tmp_path / "backend.json")
+        prompts = []
+
+        def recording(template, prompt):
+            prompts.append(prompt)
+            return '{"number": "0"}'
+
+        monkeypatch.setattr(cli, "LlmGateway", lambda config: LlmGateway(config, transport=recording))
+        assert run_cli(*args, "--out", tmp_path / "recorded") == 0
+        monkeypatch.undo()
+        first, second = prompts
+        assert "get a" in first and "get b" in second
+        # Only the second case's synthesis prompt is answered.
+        answer = '{"number": "0"}'
+        ScriptTable({prompt_fingerprint("synthesis", second): answer}).save(tmp_path / "script.json")
+        capsys.readouterr()
+        out = tmp_path / "seq"
+        assert run_cli(*args, "--out", out) == 2
+        error = json.loads(capsys.readouterr().err.strip())
+        assert error["error"] == "ScriptMiss"
+        assert sorted(p.name for p in out.iterdir()) == ["_meta.json", "d__w__b.json"]
+        recorded = tmp_path / "recorded" / "d__w__b.json"
+        assert (out / "d__w__b.json").read_bytes() == recorded.read_bytes()
 
     def test_run_missing_page_is_data_error(self, tmp_path, capsys):
         write_pages(tmp_path / "corpus", ["p1"])

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import json_answer, make_gateway
 from oracles import elements, random_page_html, random_simple_xpath, reference_step_back
-from wrapsmith.dom import measure, parse_html, preprocess
+from wrapsmith.dom import measure, parse_html
 from wrapsmith.executor import extract
 from wrapsmith.gateway import JudgeMode
 from wrapsmith.generation import (
@@ -153,10 +153,10 @@ class TestStepBackUnions:
         # <a> comes first and never moves; only //b climbs, so the first
         # node is <a> until the fourth climb reaches <body>, which holds the
         # value. Climbing both branches would accept <div> at the first.
-        page = preprocess(parse_html(
+        page = parse_html(
             "<html><body><div><span>6-9</span><a>x</a></div>"
             "<section><ul><li><b>y</b></li></ul></section></body></html>", "u",
-        ))
+        )
 
         def transport(template, prompt):
             if "<html>" in prompt:
@@ -171,7 +171,7 @@ class TestStepBackUnions:
     def test_union_with_a_fixed_wrong_node_ends_at_the_root(self):
         # //nosuch/.. never climbs, and the first <p> does not hold the
         # value, so nothing can move: the climb ends at the root.
-        page = preprocess(parse_html("<div><p>a</p><span>6-9</span></div>", "u"))
+        page = parse_html("<div><p>a</p><span>6-9</span></div>", "u")
         gateway = make_gateway(lambda t, p: json_answer("6-9", "//p | //nosuch"))
         sequence, trace = generate(page, "height", gateway, progressive_cfg(d_max=3))
         assert sequence is None
@@ -188,7 +188,7 @@ def _step_back_cases(rng, pages):
     attribute tails, unions, odd and invalid expressions, empty selections
     and values the page does not hold."""
     for index in range(pages):
-        tree = preprocess(parse_html(random_page_html(rng), f"page-{index}"))
+        tree = parse_html(random_page_html(rng), f"page-{index}")
         words = tree.text_content().split() or ["x"]
         page_elements = elements(tree.root)
 

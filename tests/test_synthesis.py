@@ -2,7 +2,7 @@ import pytest
 
 from conftest import make_gateway
 from wrapsmith import synthesis
-from wrapsmith.dom import parse_html, preprocess
+from wrapsmith.dom import parse_html
 from wrapsmith.executor import ActionSequence, ExtractionStatus, Provenance
 from wrapsmith.synthesis import (
     NoCandidates,
@@ -19,7 +19,7 @@ def page(height, cls="val"):
         f'<div class="hrow"><b>Height:</b><span class="{cls}"> {height} </span></div>'
         f"</div></body></html>"
     )
-    return preprocess(parse_html(html, f"page-{height}"))
+    return parse_html(html, f"page-{height}")
 
 
 def sequence(*steps, seed="s"):
