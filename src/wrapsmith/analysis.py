@@ -9,7 +9,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
-from .executor import ActionSequence, classify_sequence
+from .executor import ActionSequence, literal_predicates
 from .generation import GenerationTrace
 
 
@@ -106,14 +106,12 @@ class FragilityReport:
 
 def fragility_report(sequences: Iterable[ActionSequence]) -> FragilityReport:
     """Tally contains/equal predicates and the share with fragile literals."""
-    contains_total = equal_total = contains_fragile = equal_fragile = 0
+    totals = {"contains": 0, "equal": 0}
+    fragiles = {"contains": 0, "equal": 0}
     for sequence in sequences:
-        report = classify_sequence(sequence)
-        contains_total += report.contains_count
-        equal_total += report.equal_count
-        for literal in report.fragile_literals:
-            if literal.kind == "contains":
-                contains_fragile += 1
-            else:
-                equal_fragile += 1
-    return FragilityReport(contains_total, contains_fragile, equal_total, equal_fragile)
+        for kind, fragile in literal_predicates(sequence):
+            totals[kind] += 1
+            fragiles[kind] += fragile
+    return FragilityReport(
+        totals["contains"], fragiles["contains"], totals["equal"], fragiles["equal"]
+    )

@@ -27,6 +27,7 @@ from .dataset import (
     dump_json,
     load_case,
     read_record,
+    string_tuple,
 )
 from .dom import DocumentTree, DomError, parse_html
 from .dom import preprocess  # noqa: F401 - the benchmark's tracer test looks it up here
@@ -73,8 +74,7 @@ def _case_files(directory: Path) -> list[Path]:
 def _load_trace(path: Path) -> GenerationTrace:
     """Read a trace file; a missing or ill-typed field is a data error."""
     trace = read_record(path, GenerationTrace.from_record)
-    steps = trace.sequence.steps if trace.sequence is not None else ()
-    texts = [trace.page_id, trace.html_path, *steps]
+    texts = [trace.page_id, trace.html_path]
     sizes = [n for step in trace.steps for n in astuple(step.metrics_before)]
     if not all(isinstance(t, str) for t in texts) or not all(type(n) is int for n in sizes):
         raise DatasetError(f"malformed trace {path}: ill-typed field")
@@ -90,8 +90,9 @@ def _decode_candidates(record: dict) -> tuple:
         record["case_id"],
         record["instruction"],
         [ActionSequence.from_record(seed["sequence"]) for seed in seeds],
-        [PageRecord(seed["page_id"], seed["html_path"], tuple(seed["gold"])) for seed in seeds],
-        [seed["proposed_values"] for seed in seeds],
+        [PageRecord(seed["page_id"], seed["html_path"], string_tuple(seed["gold"]))
+         for seed in seeds],
+        [string_tuple(seed["proposed_values"]) for seed in seeds],
     )
 
 
@@ -101,9 +102,11 @@ def _decode_chosen(record: dict) -> tuple[str, Optional[ActionSequence]]:
     return record["case_id"], None if sequence is None else ActionSequence.from_record(sequence)
 
 
-def _decode_results(record: dict) -> tuple[str, dict[str, list]]:
+def _decode_results(record: dict) -> tuple[str, dict[str, tuple[str, ...]]]:
     """Case id and the extracted values of each page of a ``run`` output file."""
-    pages = {page_id: page.get("values", []) for page_id, page in record["pages"].items()}
+    pages = {
+        page_id: string_tuple(page.get("values", [])) for page_id, page in record["pages"].items()
+    }
     return record["case_id"], pages
 
 
@@ -292,7 +295,7 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
             chosen, index = None, None
             if candidates:
                 choice = synthesize(
-                    candidates, matrix, proposed, mode=args.mode, gateway=gateway,
+                    candidates, matrix, proposed, gateway=gateway,
                     instruction=instruction, seed_ids=seed_ids,
                     gold_values=[seed.gold for seed in seeds] if args.gold else None,
                 )
@@ -368,7 +371,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         case = load_case(cases_dir / f"{case_id}.json")
         pages = []
         for page_record in case.pages:
-            extracted = values.get(page_record.page_id, [])
+            extracted = values.get(page_record.page_id, ())
             pages.append((extracted, list(page_record.gold), page_record.page_id))
         outcomes.append(classify_case(case_id, pages))
     if not outcomes:

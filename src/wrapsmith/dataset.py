@@ -271,6 +271,13 @@ def build_cases(
     return cases
 
 
+def string_tuple(value: Any) -> tuple[str, ...]:
+    """A decoded JSON list of strings as a tuple; ``TypeError`` on anything else."""
+    if not isinstance(value, list) or not all(isinstance(item, str) for item in value):
+        raise TypeError(f"expected a list of strings, got {value!r:.80}")
+    return tuple(value)
+
+
 _CASE_KEYS = {"domain", "website", "attribute", "instruction", "pages"}
 _PAGE_KEYS = {"page_id", "html_path", "gold"}
 
@@ -284,7 +291,7 @@ def case_from_record(record: dict) -> WebpageCase:
         if not isinstance(page, dict) or not _PAGE_KEYS.issubset(page):
             missing = _PAGE_KEYS - set(page) if isinstance(page, dict) else _PAGE_KEYS
             raise SchemaViolation(f"page record missing keys: {sorted(missing)}")
-        pages.append(PageRecord(page["page_id"], page["html_path"], tuple(page["gold"])))
+        pages.append(PageRecord(page["page_id"], page["html_path"], string_tuple(page["gold"])))
     return WebpageCase(
         domain=record["domain"],
         website=record["website"],

@@ -91,10 +91,6 @@ class ElementNode:
     def class_attr(self) -> Optional[str]:
         return self.get(KEEP_ATTR)
 
-    @property
-    def element_children(self) -> tuple["ElementNode", ...]:
-        return tuple(c for c in self.children if isinstance(c, ElementNode))
-
     def text_content(self) -> str:
         """Concatenated character data of the whole subtree, in order."""
         parts: list[str] = []

@@ -10,6 +10,10 @@ copied), a failing step reports its index, and the empty sequence means
 "attribute absent", which extracts nothing. Extracted values are normalized
 (whitespace collapsed, empties dropped) so that downstream comparisons
 tolerate markup padding.
+
+:func:`literal_predicates` lists a rule's ``contains()`` and ``=``
+predicates and flags the ones that match a page-specific text literal;
+synthesis ranks candidates by that count and ``analyze`` tallies it.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from enum import Enum
 from typing import Iterable, Optional
 
 from . import xpath as xp
+from .dataset import string_tuple
 from .dom import DocumentTree, ElementNode
 
 
@@ -110,7 +115,7 @@ class ActionSequence:
     def from_record(cls, record: dict) -> "ActionSequence":
         prov = record["provenance"]
         return cls(
-            steps=tuple(record["steps"]),
+            steps=string_tuple(record["steps"]),
             provenance=Provenance(prov["seed_page"], prov["strategy"]),
         )
 
@@ -185,7 +190,7 @@ def extract(page: DocumentTree, sequence: ActionSequence) -> ExtractionResult:
 
 
 # --------------------------------------------------------------------------
-# Predicate classification
+# Literal predicates
 # --------------------------------------------------------------------------
 
 #: A text literal is fragile when it looks page-specific: a digit run this
@@ -196,35 +201,19 @@ MAX_LITERAL_LEN = 20
 _FRAGILE_DIGITS = re.compile(r"\d{%d,}" % MIN_FRAGILE_DIGIT_RUN)
 
 
-def _is_fragile(literal: str) -> bool:
-    return len(literal) > MAX_LITERAL_LEN or _FRAGILE_DIGITS.search(literal) is not None
+def _is_fragile(literal: xp.Expr, operand: xp.Expr) -> bool:
+    """Is ``literal`` a page-specific text literal matched against ``operand``?
+
+    Literals compared against attribute values (``@class`` and friends) are
+    never fragile: attributes are the stable handle on template pages, while
+    literals matched against text content travel badly between pages.
+    """
+    if not isinstance(literal, xp.Literal) or _is_attribute_operand(operand):
+        return False
+    return len(literal.value) > MAX_LITERAL_LEN or _FRAGILE_DIGITS.search(literal.value) is not None
 
 
-@dataclass(frozen=True)
-class FragileLiteral:
-    kind: str  # 'contains' or 'equal'
-    literal: str
-
-
-@dataclass(frozen=True)
-class PredicateReport:
-    contains_count: int
-    equal_count: int
-    fragile_literals: tuple[FragileLiteral, ...]
-
-    @property
-    def fragile(self) -> bool:
-        return bool(self.fragile_literals)
-
-    def merged(self, other: "PredicateReport") -> "PredicateReport":
-        return PredicateReport(
-            self.contains_count + other.contains_count,
-            self.equal_count + other.equal_count,
-            self.fragile_literals + other.fragile_literals,
-        )
-
-
-def _is_attribute_operand(expr) -> bool:
+def _is_attribute_operand(expr: xp.Expr) -> bool:
     if isinstance(expr, xp.Path):
         return any(step.axis == "attribute" for step in expr.steps)
     if isinstance(expr, xp.UnionExpr):
@@ -232,62 +221,34 @@ def _is_attribute_operand(expr) -> bool:
     return False
 
 
-def classify_predicates(expression: str) -> PredicateReport:
-    """Count ``contains`` and ``=`` predicates and flag fragile text literals.
-
-    Literals compared against attribute values (``@class`` and friends) are
-    never flagged: attributes are the stable handle on template pages, while
-    literals matched against text content travel badly between pages.
+def literal_predicates(sequence: ActionSequence) -> list[tuple[str, bool]]:
+    """``("contains", fragile)`` for each ``contains()`` and ``("equal",
+    fragile)`` for each ``=`` in the predicates of ``sequence``'s steps,
+    nested predicates included. ``fragile`` says that the call's second
+    argument, or either side of the ``=`` (the left one first), is a
+    fragile text literal. A step that does not parse is skipped.
     """
-    try:
-        predicates = list(xp.iter_predicates(expression))
-    except xp.XPathSyntaxError as exc:
-        raise InvalidXPathError(str(exc)) from exc
-
-    contains_count = 0
-    equal_count = 0
-    fragile: list[FragileLiteral] = []
-    seen: set[int] = set()
-
-    def visit(expr) -> None:
-        if id(expr) in seen:
-            return
-        seen.add(id(expr))
-        nonlocal contains_count, equal_count
-        if isinstance(expr, xp.FuncCall):
-            if expr.name == "contains":
-                contains_count += 1
-                target, literal = expr.args
-                if isinstance(literal, xp.Literal) and not _is_attribute_operand(target):
-                    if _is_fragile(literal.value):
-                        fragile.append(FragileLiteral("contains", literal.value))
-            for arg in expr.args:
-                visit(arg)
-        elif isinstance(expr, xp.BinOp):
-            if expr.op == "=":
-                equal_count += 1
-                for literal, other in (
-                    (expr.left, expr.right),
-                    (expr.right, expr.left),
-                ):
-                    if isinstance(literal, xp.Literal) and not _is_attribute_operand(other):
-                        if _is_fragile(literal.value):
-                            fragile.append(FragileLiteral("equal", literal.value))
-                        break
-            visit(expr.left)
-            visit(expr.right)
-
-    for predicate in predicates:
-        visit(predicate)
-    return PredicateReport(contains_count, equal_count, tuple(fragile))
-
-
-def classify_sequence(sequence: ActionSequence) -> PredicateReport:
-    """Merged predicate report over every step of a sequence."""
-    report = PredicateReport(0, 0, ())
+    found: list[tuple[str, bool]] = []
+    stack: list[xp.Expr] = []
     for step in sequence.steps:
         try:
-            report = report.merged(classify_predicates(step))
-        except InvalidXPathError:
+            stack.append(xp.parse_xpath(step))
+        except xp.XPathSyntaxError:
             continue
-    return report
+        while stack:
+            expr = stack.pop()
+            if isinstance(expr, (xp.Path, xp.UnionExpr)):
+                paths = expr.paths if isinstance(expr, xp.UnionExpr) else (expr,)
+                stack += [p for path in paths for part in path.steps for p in part.predicates]
+            elif isinstance(expr, xp.FuncCall):
+                if expr.name == "contains":
+                    found.append(("contains", _is_fragile(expr.args[1], expr.args[0])))
+                stack += expr.args
+            elif isinstance(expr, xp.BinOp):
+                if expr.op == "=":
+                    literal, other = expr.left, expr.right
+                    if not isinstance(literal, xp.Literal):
+                        literal, other = other, literal
+                    found.append(("equal", _is_fragile(literal, other)))
+                stack += (expr.left, expr.right)
+    return found

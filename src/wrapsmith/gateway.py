@@ -12,8 +12,8 @@ templates themselves show those), and retries with a "valid JSON only"
 reminder before giving up.
 
 Judgements (is the extraction consistent? does this subtree contain the
-value?) run either deterministically or through the model; both modes
-return the same shape so callers never branch on the mode.
+value?) go to the model when given a gateway and are computed otherwise;
+both return the same shape so callers never branch on the mode.
 """
 
 from __future__ import annotations
@@ -398,20 +398,17 @@ def judge_consistent(
     extracted: Iterable[str],
     expected: Iterable[str],
     *,
-    mode: JudgeMode = JudgeMode.DETERMINISTIC,
     gateway: Optional[LlmGateway] = None,
 ) -> JudgeResult:
     """Is the extracted value set consistent with the expected one?
 
-    Deterministic mode compares normalized value sets; separator noise is
-    forgiven, exactly the leniency the judgement prompt asks for. LLM mode
-    delegates to that prompt.
+    Without a gateway, normalized value sets are compared; separator noise
+    is forgiven, exactly the leniency the judgement prompt asks for. With
+    one, the model answers that prompt.
     """
     extracted = list(extracted)
     expected = list(expected)
-    if mode is JudgeMode.LLM:
-        if gateway is None:
-            raise ValueError("LLM judge mode requires a gateway")
+    if gateway is not None:
         exchange = gateway.complete(
             "judgement",
             [json.dumps(extracted, ensure_ascii=False), json.dumps(expected, ensure_ascii=False)],
@@ -425,18 +422,16 @@ def judge_contains(
     values: Iterable[str],
     instruction: str,
     *,
-    mode: JudgeMode = JudgeMode.DETERMINISTIC,
     gateway: Optional[LlmGateway] = None,
 ) -> JudgeResult:
     """Does the tree's text contain every expected value?
 
-    Deterministic mode checks normalized substring containment over the
-    tree's concatenated text; LLM mode asks the step-back prompt.
+    Without a gateway, normalized substring containment over the tree's
+    concatenated text is checked; with one, the model answers the step-back
+    prompt.
     """
     values = list(values)
-    if mode is JudgeMode.LLM:
-        if gateway is None:
-            raise ValueError("LLM judge mode requires a gateway")
+    if gateway is not None:
         exchange = gateway.complete(
             "stepback",
             [instruction, json.dumps(values, ensure_ascii=False), tree.to_html()],

@@ -156,22 +156,6 @@ def _value_list(raw) -> tuple[str, ...]:
     return executor.normalize_values([str(raw)])
 
 
-def _judge(
-    result: ExtractionResult,
-    value: tuple[str, ...],
-    cfg: StrategyConfig,
-    gateway: LlmGateway,
-) -> JudgeResult:
-    if not result.ok:
-        return JudgeResult(False)
-    return judge_consistent(
-        result.values,
-        value,
-        mode=cfg.judge_mode,
-        gateway=gateway if cfg.judge_mode is JudgeMode.LLM else None,
-    )
-
-
 def generate(
     page: DocumentTree,
     instruction: str,
@@ -186,6 +170,7 @@ def generate(
     pruning: list[str] = []
     history: list[tuple[str, str, tuple[str, ...]]] = []
     tree = page
+    judge = gateway if cfg.judge_mode is JudgeMode.LLM else None
 
     for iteration in range(cfg.d_max):
         # A tree renders once; a page's rendering is shared by every case on it.
@@ -207,7 +192,7 @@ def generate(
 
         if (
             history
-            and cfg.judge_mode is JudgeMode.LLM
+            and judge is not None
             and exchange.parsed_str("consistent").strip().lower().startswith("yes")
         ):
             # The model judged its previous attempt consistent: keep it.
@@ -216,7 +201,10 @@ def generate(
         elif proposed:
             result = eval_text(tree, proposed)
             if strategy is not Strategy.COT:
-                verdict = _judge(result, value, cfg, gateway)
+                verdict = (
+                    judge_consistent(result.values, value, gateway=judge)
+                    if result.ok else JudgeResult(False)
+                )
                 if verdict.exchange is not None:
                     exchanges.append(verdict.exchange)
                 accepted = verdict.verdict
@@ -228,7 +216,7 @@ def generate(
             # Step-back: climb from the proposed node until the subtree
             # contains the value, then record the climb as a pruning step.
             (decision, climb), pruned, climb_exchanges = _step_back(
-                tree, proposed, value, instruction, cfg, gateway
+                tree, proposed, value, instruction, judge
             )
             exchanges.extend(climb_exchanges)
             if climb is not None:
@@ -256,8 +244,7 @@ def _step_back(
     proposed: str,
     value: tuple[str, ...],
     instruction: str,
-    cfg: StrategyConfig,
-    gateway: LlmGateway,
+    judge: Optional[LlmGateway],
 ) -> tuple[tuple[str, Optional[str]], DocumentTree, list[LlmExchange]]:
     """Climb from the proposed node until its subtree holds the value.
 
@@ -266,16 +253,13 @@ def _step_back(
     judge_exchanges)``. ``appended_step`` is set only when a strictly
     smaller subtree passed the containment check; reaching the root yields
     ``retry`` (value present somewhere, xpath unanchorable) or ``give_up``
-    (value absent entirely).
+    (value absent entirely). ``judge`` is the gateway that judges
+    containment, or ``None`` for the deterministic check.
     """
     exchanges: list[LlmExchange] = []
 
     def contains(candidate: DocumentTree) -> bool:
-        result = judge_contains(
-            candidate, value, instruction,
-            mode=cfg.judge_mode,
-            gateway=gateway if cfg.judge_mode is JudgeMode.LLM else None,
-        )
+        result = judge_contains(candidate, value, instruction, gateway=judge)
         if result.exchange is not None:
             exchanges.append(result.exchange)
         return result.verdict

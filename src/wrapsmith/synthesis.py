@@ -5,8 +5,8 @@ executed on all seeds. Deterministic selection ranks candidates by how many
 seeds they reproduce (judged against each seed's own generation-time
 values, since gold labels are not available at deployment), then by fewer
 fragile text literals, then by shorter sequence, then by lowest index. The
-LLM mode instead shows all candidates and results to the model and takes
-the index it names.
+LLM mode, chosen by passing a gateway, instead shows all candidates and
+results to the model and takes the index it names.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from .dom import DocumentTree
 from .executor import (
     ActionSequence,
     ExtractionResult,
-    classify_sequence,
     extract,
+    literal_predicates,
     normalize_values,
 )
 from .gateway import LlmExchange, LlmGateway
@@ -105,7 +105,6 @@ def synthesize(
     matrix: Sequence[Sequence[ExtractionResult]],
     seed_values: Sequence[Sequence[str]],
     *,
-    mode: str = "deterministic",
     gateway: Optional[LlmGateway] = None,
     instruction: str = "",
     seed_ids: Optional[Sequence[str]] = None,
@@ -113,15 +112,14 @@ def synthesize(
 ) -> SynthesisChoice:
     """Choose one of ``candidates``; the result is always a member.
 
+    With a ``gateway`` the model chooses; without one the ranking does.
     ``seed_values[j]`` holds seed ``j``'s generation-time value set.
     Passing ``gold_values`` ranks against gold labels instead (useful when
     reproducing benchmark runs that generate with labels available).
     """
     if not candidates:
         raise NoCandidates("no candidate sequences to choose from")
-    if mode == "llm":
-        if gateway is None:
-            raise ValueError("llm synthesis mode requires a gateway")
+    if gateway is not None:
         ids = list(seed_ids) if seed_ids else [f"seed-{j}" for j in range(len(matrix[0]))]
         exchange = gateway.complete(
             "synthesis", [instruction, format_candidates(candidates, matrix, ids)]
@@ -139,7 +137,7 @@ def synthesize(
         candidate = candidates[index]
         return (
             -_coverage(matrix[index], targets),
-            len(classify_sequence(candidate).fragile_literals),
+            sum(fragile for _, fragile in literal_predicates(candidate)),
             len(candidate.steps),
             index,
         )

@@ -152,15 +152,6 @@ FUNCTIONS = {
     "false": 0,
 }
 
-# Known XPath functions outside the supported dialect: rejected explicitly
-# so callers get invalid_xpath rather than a silent empty selection.
-REJECTED_FUNCTIONS = {
-    "substring", "substring-before", "substring-after", "normalize-space",
-    "translate", "concat", "id", "name", "local-name", "namespace-uri",
-    "sum", "floor", "ceiling", "round", "number", "boolean", "lang",
-    "string-length",
-}
-
 _AXES = {
     "child", "descendant", "descendant-or-self", "parent", "ancestor",
     "ancestor-or-self", "self", "following-sibling", "preceding-sibling",
@@ -378,8 +369,6 @@ class _Parser:
 
     def parse_function(self) -> Expr:
         name = self.next()[1]
-        if name in REJECTED_FUNCTIONS:
-            raise XPathSyntaxError(f"function {name}() is outside the supported dialect")
         if name not in FUNCTIONS:
             raise XPathSyntaxError(f"unknown function {name}()")
         self.expect("op", "(")
@@ -741,24 +730,3 @@ def climb(tree: DocumentTree, expression: str) -> Iterator[Optional[XNode]]:
             return
         nodes = _evaluate_step(nodes, _PARENT_STEP, document)
 
-
-def iter_predicates(expression: str) -> Iterator[Expr]:
-    """Yield every predicate expression in the parsed location paths."""
-    ast = parse_xpath(expression)
-
-    def walk_expr(expr: Expr) -> Iterator[Expr]:
-        if isinstance(expr, (Path, UnionExpr)):
-            paths = expr.paths if isinstance(expr, UnionExpr) else (expr,)
-            for path in paths:
-                for step in path.steps:
-                    for predicate in step.predicates:
-                        yield predicate
-                        yield from walk_expr(predicate)
-        elif isinstance(expr, BinOp):
-            yield from walk_expr(expr.left)
-            yield from walk_expr(expr.right)
-        elif isinstance(expr, FuncCall):
-            for arg in expr.args:
-                yield from walk_expr(arg)
-
-    yield from walk_expr(ast)

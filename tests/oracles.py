@@ -16,6 +16,11 @@ The JSON recovery oracle is the earlier two-pass recovery: find the
 balanced span first, without looking at comments, then strip comments and
 trailing commas from it.
 
+The literal-predicate oracle is the classifier the package used before
+one walk listed a rule's predicates: one walk collects every predicate of
+every step, a second walks each predicate's operators, and the reports of
+the steps are merged.
+
 The step-back oracle climbs by strings, the way the paper words it: append
 ``/..`` to the xpath and prune the whole page again, once per climb.
 
@@ -32,6 +37,7 @@ from __future__ import annotations
 import html as htmllib
 import json
 import random
+import re
 import xml.etree.ElementTree as ET
 from html.parser import HTMLParser
 
@@ -47,7 +53,15 @@ from wrapsmith.dom import (
     TreeMetrics,
     measure,
 )
-from wrapsmith.executor import InvalidXPathError, NoMatchError, NotAnElementError, prune
+from wrapsmith import xpath as xp
+from wrapsmith.executor import (
+    MAX_LITERAL_LEN,
+    MIN_FRAGILE_DIGIT_RUN,
+    InvalidXPathError,
+    NoMatchError,
+    NotAnElementError,
+    prune,
+)
 from wrapsmith.gateway import JudgeMode, judge_contains
 
 TAGS = ["div", "span", "p", "b", "ul", "li", "a"]
@@ -186,7 +200,7 @@ def _reference_serialize(node, parts: list[str]) -> None:
 
 def _reference_height(el: ElementNode) -> int:
     best = 0
-    for child in el.element_children:
+    for child in child_elements(el):
         best = max(best, _reference_height(child))
     return best + 1
 
@@ -313,6 +327,11 @@ def copied_subtree(tree: DocumentTree, element: ElementNode) -> DocumentTree:
     return DocumentTree.from_root(copy(element), tree.source_id)
 
 
+def child_elements(node: ElementNode) -> list[ElementNode]:
+    """The element children of ``node``, in document order."""
+    return [c for c in node.children if isinstance(c, ElementNode)]
+
+
 def elements(node: ElementNode) -> list[ElementNode]:
     """The elements of ``node``'s subtree, ``node`` first, in document order."""
     return [n for n in node.iter_nodes() if isinstance(n, ElementNode)]
@@ -324,7 +343,7 @@ def positional_xpath(tree, element: ElementNode) -> str:
     node = element
     while tree.parents[node.order] is not None:
         parent = tree.parents[node.order]
-        same_tag = [c for c in parent.element_children if c.tag == node.tag]
+        same_tag = [c for c in child_elements(parent) if c.tag == node.tag]
         steps.append(f"{node.tag}[{same_tag.index(node) + 1}]")
         node = parent
     steps.append(node.tag)
@@ -361,7 +380,7 @@ def reference_step_back(tree, proposed, value, instruction, mode, gateway=None):
         candidate = tree if root_reached else tree.subtree(node)
         verdict = judge_contains(
             candidate, value, instruction,
-            mode=mode, gateway=gateway if mode is JudgeMode.LLM else None,
+            gateway=gateway if mode is JudgeMode.LLM else None,
         )
         if verdict.exchange is not None:
             exchanges.append(verdict.exchange)
@@ -369,6 +388,139 @@ def reference_step_back(tree, proposed, value, instruction, mode, gateway=None):
             return ("retry" if verdict.verdict else "give_up"), None, tree, exchanges, capped
         if verdict.verdict:
             return f"stepback({climbs})", base, candidate, exchanges, False
+
+
+def _reference_predicates(expression: str):
+    """Every predicate expression in the parsed location paths."""
+
+    def walk_expr(expr):
+        if isinstance(expr, (xp.Path, xp.UnionExpr)):
+            paths = expr.paths if isinstance(expr, xp.UnionExpr) else (expr,)
+            for path in paths:
+                for step in path.steps:
+                    for predicate in step.predicates:
+                        yield predicate
+                        yield from walk_expr(predicate)
+        elif isinstance(expr, xp.BinOp):
+            yield from walk_expr(expr.left)
+            yield from walk_expr(expr.right)
+        elif isinstance(expr, xp.FuncCall):
+            for arg in expr.args:
+                yield from walk_expr(arg)
+
+    yield from walk_expr(xp.parse_xpath(expression))
+
+
+def _reference_attribute_operand(expr) -> bool:
+    if isinstance(expr, xp.Path):
+        return any(step.axis == "attribute" for step in expr.steps)
+    if isinstance(expr, xp.UnionExpr):
+        return any(_reference_attribute_operand(p) for p in expr.paths)
+    return False
+
+
+def reference_literal_predicates(sequence) -> tuple[int, int, list[str]]:
+    """``(contains_count, equal_count, fragile_kinds)`` over the steps of
+    ``sequence``; a step that does not parse is skipped."""
+    digits = re.compile(r"\d{%d,}" % MIN_FRAGILE_DIGIT_RUN)
+
+    def fragile(literal: str) -> bool:
+        return len(literal) > MAX_LITERAL_LEN or digits.search(literal) is not None
+
+    counts = {"contains": 0, "equal": 0}
+    kinds: list[str] = []
+
+    def visit(expr) -> None:
+        if isinstance(expr, xp.FuncCall):
+            if expr.name == "contains":
+                counts["contains"] += 1
+                target, literal = expr.args
+                if isinstance(literal, xp.Literal) and not _reference_attribute_operand(target):
+                    if fragile(literal.value):
+                        kinds.append("contains")
+            for arg in expr.args:
+                visit(arg)
+        elif isinstance(expr, xp.BinOp):
+            if expr.op == "=":
+                counts["equal"] += 1
+                for literal, other in ((expr.left, expr.right), (expr.right, expr.left)):
+                    if isinstance(literal, xp.Literal) and not _reference_attribute_operand(other):
+                        if fragile(literal.value):
+                            kinds.append("equal")
+                        break
+            visit(expr.left)
+            visit(expr.right)
+
+    for step in sequence.steps:
+        try:
+            predicates = list(_reference_predicates(step))
+        except xp.XPathSyntaxError:
+            continue
+        for predicate in predicates:
+            visit(predicate)
+    return counts["contains"], counts["equal"], kinds
+
+
+_FUZZ_TAGS = ["div", "p", "b", "span"]
+_FUZZ_LITERALS = [
+    "'a'", "'Height:'", "'ab123'", "'ab1234'", "'703-528-7809'", '"say 12345"',
+    "'" + "x" * 20 + "'", "'" + "x" * 21 + "'", "'a very long page specific sentence'",
+]
+_FUZZ_OPERANDS = [
+    "text()", ".", "string()", "string(.)", "@class", "@id", "b/@class", "../@class",
+    "b", "b/text()", "*", "following-sibling::b",
+]
+_FUZZ_UNPARSEABLE = [
+    "//div[", "//p[substring(., 1)]", "//p[contains(text())]", "//p[normalize-space()='x']",
+    "//p]", "   ", "//p[@class=]", "//p[contains(.,'a') and]",
+]
+
+
+def random_literal_step(rng: random.Random) -> str:
+    """A random XPath step for the literal-predicate oracle: nested
+    predicates, unions, attribute and ``text()``/``.``/``string()``
+    operands, literals on either side of a comparison, numbers, and
+    sometimes an expression that does not parse."""
+
+    def operand(depth: int) -> str:
+        roll = rng.random()
+        if roll < 0.35:
+            return rng.choice(_FUZZ_LITERALS)
+        if roll < 0.45:
+            return rng.choice(["1", "2", "0.5", "12345"])
+        if roll < 0.6 and depth > 0:
+            tail = rng.choice(["", "/text()", "/@class"])
+            return f"{rng.choice(_FUZZ_TAGS)}[{predicate(depth - 1)}]{tail}"
+        return rng.choice(_FUZZ_OPERANDS)
+
+    def predicate(depth: int) -> str:
+        roll = rng.random()
+        if roll < 0.25:
+            return f"contains({operand(depth)}, {operand(depth)})"
+        if roll < 0.5:
+            left, right = operand(depth), operand(depth)
+            return f"{left} {rng.choice(['=', '=', '!=', '<'])} {right}"
+        if roll < 0.6 and depth > 0:
+            joiner = rng.choice(["and", "or"])
+            return f"{predicate(depth - 1)} {joiner} {predicate(depth - 1)}"
+        if roll < 0.7 and depth > 0:
+            return f"{rng.choice(['not', 'string', 'count'])}({operand(depth)})"
+        if roll < 0.8:
+            return rng.choice(["1", "last()", "position()=2", f"starts-with(., {operand(0)})"])
+        return operand(depth)
+
+    def path() -> str:
+        steps = []
+        for _ in range(rng.randint(1, 3)):
+            preds = "".join(f"[{predicate(2)}]" for _ in range(rng.randint(0, 2)))
+            steps.append(rng.choice(_FUZZ_TAGS) + preds)
+        return "//" + "/".join(steps) + rng.choice(["", "", "/text()", "/@class", "/.."])
+
+    if rng.random() < 0.1:
+        return rng.choice(_FUZZ_UNPARSEABLE)
+    if rng.random() < 0.2:
+        return " | ".join(path() for _ in range(rng.randint(2, 3)))
+    return path()
 
 
 def reference_json_object(text: str):

@@ -632,25 +632,46 @@ class TestMalformedInputs:
         ("synthesize", "corpus_root"),
         ("run", "corpus_root"),
         ("generate", "gold"),
+        ("eval", "gold"),
+        ("run", "steps"),
+        ("eval", "values"),
+        ("synthesize", "proposed_values"),
     ])
     def test_meta_or_case_with_a_bad_field_is_data_error(
         self, tmp_path, capsys, synthetic_corpus, command, broken
     ):
-        # A _meta.json without its corpus root, or a case whose gold is no list.
+        # A _meta.json without its corpus root, a case whose gold is no list
+        # or a list with a number in it, or a stage input with a number
+        # where a list of strings belongs.
         data, cases = tmp_path / "data", tmp_path / "cases"
-        data.mkdir()
+        (data / "candidates").mkdir(parents=True)
         cases.mkdir()
+        (tmp_path / "p1.html").write_text("<p><b>v</b></p>", encoding="utf-8")
         meta = {} if broken == "corpus_root" else {"corpus_root": str(tmp_path)}
         dump_json(meta, data / "_meta.json")
         dump_json(meta, cases / "_meta.json")
         record = WebpageCase("d", "w", "a", "i", (PageRecord("p1", "p1.html", ("v",)),)).to_record()
         if broken == "gold":
-            record["pages"][0]["gold"] = 5
+            record["pages"][0]["gold"] = 5 if command == "generate" else [5]
         dump_json(record, cases / "d__w__a.json")
+        sequence = ActionSequence(("//b/text()",), Provenance("p1", "progressive")).to_record()
+        stage_input = {
+            "gold": {"case_id": "d__w__a", "pages": {"p1": {"values": ["v"]}}},
+            "steps": {"case_id": "d__w__a", "sequence": {**sequence, "steps": [1]}},
+            "values": {"case_id": "d__w__a", "pages": {"p1": {"values": [1]}}},
+            "proposed_values": {"case_id": "d__w__a", "instruction": "i", "seeds": [{
+                "page_id": "p1", "html_path": "p1.html", "gold": ["v"],
+                "proposed_values": [3], "sequence": sequence,
+            }]},
+        }.get(broken)
+        if stage_input is not None:
+            folder = data / "candidates" if command == "synthesize" else data
+            dump_json(stage_input, folder / "c.json")
         args = {
             "generate": ("--cases", cases, "--backend", synthetic_corpus.backend_path),
             "synthesize": ("--candidates", data),
             "run": ("--sequences", data, "--cases", cases),
+            "eval": ("--results", data, "--cases", cases),
         }[command]
         assert run_cli(command, *args, "--out", tmp_path / "out") == 3
         error = json.loads(capsys.readouterr().err.strip())

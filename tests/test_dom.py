@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from oracles import elements
+from oracles import child_elements, elements
 from wrapsmith import dom
 from wrapsmith.dom import (
     DomError,
@@ -54,8 +54,8 @@ def reference_parse_html(raw, source_id):
 class TestParse:
     def test_single_paragraph(self):
         tree = parse_html("<html><body><p>x</p></body></html>", "t")
-        body = tree.root.element_children[0]
-        p = body.element_children[0]
+        body = child_elements(tree.root)[0]
+        p = child_elements(body)[0]
         assert tree.root.tag == "html"
         assert p.tag == "p"
         assert p.children == p.children and p.text_content() == "x"
@@ -64,7 +64,7 @@ class TestParse:
         tree = parse_html('<div class="a"><div>y</div>', "t")
         assert tree.root.tag == "div"
         assert tree.root.class_attr == "a"
-        inner = tree.root.element_children[0]
+        inner = child_elements(tree.root)[0]
         assert inner.tag == "div"
         assert inner.text_content() == "y"
 
@@ -81,7 +81,7 @@ class TestParse:
     def test_multiple_top_level_elements_get_wrapped(self):
         tree = parse_html("<p>a</p><p>b</p>", "t")
         assert tree.root.tag == "html"
-        assert [el.tag for el in tree.root.element_children] == ["p", "p"]
+        assert [el.tag for el in child_elements(tree.root)] == ["p", "p"]
 
     def test_stray_end_tag_ignored(self):
         tree = parse_html("<div><p>a</p></span></div>", "t")
@@ -91,8 +91,8 @@ class TestParse:
     def test_mis_nested_end_tag_closes_up_to_match(self):
         tree = parse_html("<div><b>x</div>tail", "t")
         assert tree.root.tag == "html"  # div plus loose tail text
-        div = tree.root.element_children[0]
-        assert div.element_children[0].tag == "b"
+        div = child_elements(tree.root)[0]
+        assert child_elements(div)[0].tag == "b"
 
     def test_entities_resolved_at_parse(self):
         tree = parse_html("<p>a &amp; b</p>", "t")
@@ -101,7 +101,7 @@ class TestParse:
     def test_void_elements_do_not_swallow_siblings(self):
         tree = parse_html("<p>a<br>b</p>", "t")
         assert tree.root.text_content() == "ab"
-        assert [el.tag for el in tree.root.element_children] == ["br"]
+        assert [el.tag for el in child_elements(tree.root)] == ["br"]
 
     def test_round_trip_same_structure(self):
         raw = '<div class="a">x<span>y</span>z</div>'
@@ -125,7 +125,7 @@ class TestPreprocess:
     def test_only_class_attribute_kept(self):
         clean = parse_html('<div id="a" class="b" style="c"><p title="q">x</p></div>', "t")
         assert clean.root.attrs == (("class", "b"),)
-        assert clean.root.element_children[0].attrs == ()
+        assert child_elements(clean.root)[0].attrs == ()
 
     def test_multi_class_string_kept_verbatim(self):
         clean = parse_html('<div class="a b  c">x</div>', "t")
@@ -203,7 +203,7 @@ class TestSubtree:
     def test_subtree_nodes_subset_of_source(self):
         tree = parse_html("<div><p>a</p><p>b</p></div>", "t")
         source_ids = {id(n) for n in tree.root.iter_nodes()}
-        p = tree.root.element_children[0]
+        p = child_elements(tree.root)[0]
         for node in tree.subtree(p).root.iter_nodes():
             assert id(node) in source_ids  # shared, not copied
 

@@ -1,5 +1,9 @@
+import random
+from collections import Counter
+
 import pytest
 
+from oracles import child_elements, random_literal_step, reference_literal_predicates
 from wrapsmith.dom import measure, parse_html
 from wrapsmith.executor import (
     ActionSequence,
@@ -8,10 +12,9 @@ from wrapsmith.executor import (
     NoMatchError,
     NotAnElementError,
     Provenance,
-    classify_predicates,
-    classify_sequence,
     eval_text,
     extract,
+    literal_predicates,
     normalize_value,
     normalize_values,
     prune,
@@ -58,7 +61,7 @@ class TestEvalNode:
             "<body><div class='x'><p>v</p></div><div class='x'><p>w</p></div></body>", "t"
         )
         node = prune(tree, "//div[@class='x']")
-        assert node is tree.root.element_children[0]
+        assert node is child_elements(tree.root)[0]
         assert tree.subtree(node).to_html() == '<div class="x"><p>v</p></div>'
 
     def test_parent_step(self):
@@ -152,52 +155,56 @@ class TestSerialization:
 
 class TestClassifyPredicates:
     def test_contains_only(self):
-        report = classify_predicates("//b[contains(text(),'Height:')]")
-        assert (report.contains_count, report.equal_count) == (1, 0)
-        assert not report.fragile
+        assert literal_predicates(seq("//b[contains(text(),'Height:')]")) == [("contains", False)]
 
     def test_fragile_phone_literal(self):
-        report = classify_predicates("//h5[contains(text(), '703-528-7809')]")
-        assert report.contains_count == 1
-        assert report.fragile
-        assert report.fragile_literals[0].kind == "contains"
+        pairs = literal_predicates(seq("//h5[contains(text(), '703-528-7809')]"))
+        assert pairs == [("contains", True)]
 
     def test_attribute_equality(self):
-        report = classify_predicates("//div[@class='a']")
-        assert (report.contains_count, report.equal_count) == (0, 1)
-        assert not report.fragile
+        assert literal_predicates(seq("//div[@class='a']")) == [("equal", False)]
 
     def test_attribute_literals_never_fragile(self):
-        report = classify_predicates("//div[@class='gray200B-dyContent-360004']")
-        assert report.equal_count == 1
-        assert not report.fragile
+        pairs = literal_predicates(seq("//div[@class='gray200B-dyContent-360004']"))
+        assert pairs == [("equal", False)]
 
     def test_fragile_equal_on_text(self):
-        report = classify_predicates("//p[text()='order 123456789']")
-        assert report.equal_count == 1
-        assert report.fragile_literals[0].kind == "equal"
+        assert literal_predicates(seq("//p[text()='order 123456789']")) == [("equal", True)]
 
     def test_long_literal_flagged(self):
-        report = classify_predicates(
-            "//p[contains(text(),'a very long page specific sentence')]"
-        )
-        assert report.fragile
+        pairs = literal_predicates(seq("//p[contains(text(),'a very long page specific sentence')]"))
+        assert pairs == [("contains", True)]
 
     def test_fragility_thresholds(self):
         def fragile(literal):
-            return classify_predicates(f"//p[contains(text(), '{literal}')]").fragile
+            [(_, flag)] = literal_predicates(seq(f"//p[contains(text(), '{literal}')]"))
+            return flag
 
         assert not fragile("ab123") and fragile("ab1234")
         assert not fragile("x" * 20) and fragile("x" * 21)
 
-    def test_invalid_xpath_raises(self):
-        with pytest.raises(InvalidXPathError):
-            classify_predicates("//div[")
+    def test_unparseable_step_is_skipped(self):
+        assert literal_predicates(seq("//div[")) == []
+        sequence = seq("//div[", "//div[@class='a']", "//p[substring(., 1)]")
+        assert literal_predicates(sequence) == [("equal", False)]
 
     def test_sequence_merge(self):
         sequence = seq("//div[@class='a']", "//b[contains(text(),'Height:')]/text()")
-        report = classify_sequence(sequence)
-        assert (report.contains_count, report.equal_count) == (1, 1)
+        assert sorted(literal_predicates(sequence)) == [("contains", False), ("equal", False)]
+
+    def test_matches_the_two_walk_reference_on_random_sequences(self):
+        rng = random.Random(16)
+        seen = Counter()
+        for _ in range(3000):
+            sequence = seq(*(random_literal_step(rng) for _ in range(rng.randint(1, 3))))
+            contains, equal, kinds = reference_literal_predicates(sequence)
+            pairs = literal_predicates(sequence)
+            assert sum(kind == "contains" for kind, _ in pairs) == contains, sequence.steps
+            assert sum(kind == "equal" for kind, _ in pairs) == equal, sequence.steps
+            assert sorted(kind for kind, fragile in pairs if fragile) == sorted(kinds), sequence.steps
+            seen["with predicates"] += bool(contains or equal)
+            seen.update(kinds)
+        assert seen["with predicates"] > 2000 and min(seen["contains"], seen["equal"]) > 400, seen
 
 
 def test_normalization():

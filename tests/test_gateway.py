@@ -14,7 +14,6 @@ from wrapsmith.gateway import (
     BackendKind,
     BackendTimeout,
     GatewayError,
-    JudgeMode,
     LlmGateway,
     MalformedOutput,
     ScriptMiss,
@@ -297,7 +296,7 @@ class TestJudges:
             return '{"thought": "t", "judgement": "yes"}'
 
         gateway = make_gateway(transport)
-        result = judge_consistent(["a"], ["b"], mode=JudgeMode.LLM, gateway=gateway)
+        result = judge_consistent(["a"], ["b"], gateway=gateway)
         assert result.verdict and seen["template"] == "judgement"
         assert result.exchange is not None
 
@@ -322,5 +321,5 @@ class TestJudges:
 
         gateway = make_gateway(transport)
         tree = parse_html("<div>a</div>", "t")
-        result = judge_contains(tree, ["a"], "instr", mode=JudgeMode.LLM, gateway=gateway)
+        result = judge_contains(tree, ["a"], "instr", gateway=gateway)
         assert not result.verdict and seen["template"] == "stepback"

@@ -227,15 +227,15 @@ def _hashed_judge(template, prompt):
 @pytest.mark.parametrize("mode", list(JudgeMode))
 def test_step_back_matches_the_by_string_reference(mode):
     rng = random.Random(6 if mode is JudgeMode.DETERMINISTIC else 7)
-    cfg = progressive_cfg(judge_mode=mode)
     gateway = make_gateway(_hashed_judge)
+    judge = gateway if mode is JudgeMode.LLM else None
     compared = stepbacks = 0
     for tree, proposed, value in _step_back_cases(rng, pages=300):
         decision, base, pruned, exchanges, capped = reference_step_back(
             tree, proposed, value, "instr", mode, gateway
         )
         (got_decision, got_base), got_tree, got_exchanges = _step_back(
-            tree, proposed, value, "instr", cfg, gateway
+            tree, proposed, value, "instr", judge
         )
         case = (tree.to_html(), proposed, value)
         assert got_decision == decision, case

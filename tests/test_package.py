@@ -1,5 +1,7 @@
 import ast
+import re
 import sys
+from collections import Counter
 from pathlib import Path
 
 import wrapsmith
@@ -53,3 +55,22 @@ def test_only_dom_links_nodes():
                     and t.value.attr == "parents")
             ]
     assert linking == []
+
+
+def test_every_top_level_name_is_used_outside_the_tests():
+    # A function or class that only the tests name is dead code kept alive
+    # by its tests: the package itself or the benchmark must name it too.
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    sources = [*PACKAGE.glob("*.py"), *perfbench.glob("*.py")]
+    words = Counter(
+        word for path in sources
+        for word in re.findall(r"\w+", path.read_text(encoding="utf-8"))
+    )
+    unused = [
+        f"{path.name}: {node.name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and words[node.name] < 2
+    ]
+    assert unused == []

@@ -182,7 +182,7 @@ class TestSynthesize:
         matrix = cross_execute(candidates, [tree])
         gateway = make_gateway(lambda t, p: '{"thought": "t", "number": "1"}')
         choice = synthesize(
-            candidates, matrix, [["6-1"]], mode="llm", gateway=gateway, instruction="i"
+            candidates, matrix, [["6-1"]], gateway=gateway, instruction="i"
         )
         assert choice.index == 1
         assert choice.exchange is not None
@@ -193,11 +193,11 @@ class TestSynthesize:
         matrix = cross_execute(candidates, [tree])
         gateway = make_gateway(lambda t, p: '{"number": "7"}')
         assert synthesize(
-            candidates, matrix, [["6-1"]], mode="llm", gateway=gateway
+            candidates, matrix, [["6-1"]], gateway=gateway
         ).index == 1
         gateway = make_gateway(lambda t, p: '{"number": "junk"}')
         assert synthesize(
-            candidates, matrix, [["6-1"]], mode="llm", gateway=gateway
+            candidates, matrix, [["6-1"]], gateway=gateway
         ).index == 0
 
     def test_llm_prompt_lists_candidates_and_results(self):
@@ -211,7 +211,7 @@ class TestSynthesize:
             return '{"number": "0"}'
 
         synthesize(
-            candidates, matrix, [["6-1"]], mode="llm",
+            candidates, matrix, [["6-1"]],
             gateway=make_gateway(transport), instruction="get the height",
             seed_ids=["page-6-1"],
         )
