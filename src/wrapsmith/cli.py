@@ -12,7 +12,8 @@ import argparse
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -25,14 +26,15 @@ from .dataset import (
     build_cases,
     derive_seed,
     dump_json,
+    from_record,
     load_case,
     read_record,
-    string_tuple,
+    to_record,
 )
 from .dom import DocumentTree, DomError, parse_html
 from .dom import preprocess  # noqa: F401 - the benchmark's tracer test looks it up here
 from .evaluation import aggregate, classify_case
-from .executor import ActionSequence, ExecutionError, extract
+from .executor import ActionSequence, ExecutionError, ExtractionResult, ExtractionStatus, extract
 from .gateway import BackendConfig, GatewayError, JudgeMode, LlmGateway
 from .generation import GenerationTrace, Strategy, StrategyConfig, generate
 from .synthesis import NoCandidates, TooFewPages, cross_execute, select_seeds, synthesize
@@ -71,43 +73,48 @@ def _case_files(directory: Path) -> list[Path]:
     return sorted(p for p in directory.glob("*.json") if not p.name.startswith("_"))
 
 
-def _load_trace(path: Path) -> GenerationTrace:
-    """Read a trace file; a missing or ill-typed field is a data error."""
-    trace = read_record(path, GenerationTrace.from_record)
-    texts = [trace.page_id, trace.html_path]
-    sizes = [n for step in trace.steps for n in astuple(step.metrics_before)]
-    if not all(isinstance(t, str) for t in texts) or not all(type(n) is int for n in sizes):
-        raise DatasetError(f"malformed trace {path}: ill-typed field")
-    return trace
+@dataclass(frozen=True)
+class SeedCandidate:
+    """One seed page of a candidates file; ``sequence`` is ``None`` where
+    generation failed."""
+
+    page_id: str
+    html_path: str
+    gold: tuple[str, ...]
+    proposed_values: tuple[str, ...]
+    sequence: Optional[ActionSequence]
+    trace_file: str
 
 
-def _decode_candidates(record: dict) -> tuple:
-    """Case id and instruction of a ``generate`` output file, then, over the
-    seeds that have a sequence, the sequences, pages and proposed values."""
-    # A seed without a sequence is one where generation failed.
-    seeds = [seed for seed in record["seeds"] if seed["sequence"] is not None]
-    return (
-        record["case_id"],
-        record["instruction"],
-        [ActionSequence.from_record(seed["sequence"]) for seed in seeds],
-        [PageRecord(seed["page_id"], seed["html_path"], string_tuple(seed["gold"]))
-         for seed in seeds],
-        [string_tuple(seed["proposed_values"]) for seed in seeds],
-    )
+@dataclass(frozen=True)
+class CandidatesFile:
+    """A ``generate`` output file: one case's seed candidates."""
+
+    case_id: str
+    instruction: str
+    strategy: str
+    seeds: tuple[SeedCandidate, ...]
 
 
-def _decode_chosen(record: dict) -> tuple[str, Optional[ActionSequence]]:
-    """Case id and chosen sequence of a ``synthesize`` output file."""
-    sequence = record["sequence"]
-    return record["case_id"], None if sequence is None else ActionSequence.from_record(sequence)
+@dataclass(frozen=True)
+class SequenceFile:
+    """A ``synthesize`` output file: the candidates, their results on every
+    seed and the chosen sequence (``None`` when no seed yielded one)."""
+
+    case_id: str
+    chosen_index: Optional[int]
+    candidates: tuple[ActionSequence, ...]
+    matrix: tuple[tuple[ExtractionResult, ...], ...]
+    seed_ids: tuple[str, ...]
+    sequence: Optional[ActionSequence]
 
 
-def _decode_results(record: dict) -> tuple[str, dict[str, tuple[str, ...]]]:
-    """Case id and the extracted values of each page of a ``run`` output file."""
-    pages = {
-        page_id: string_tuple(page.get("values", [])) for page_id, page in record["pages"].items()
-    }
-    return record["case_id"], pages
+@dataclass(frozen=True)
+class ResultsFile:
+    """A ``run`` output file: the chosen sequence's result on each page."""
+
+    case_id: str
+    pages: dict[str, ExtractionResult]
 
 
 def _load_page(corpus_root: Path, html_path: str, page_id: str) -> DocumentTree:
@@ -123,7 +130,7 @@ class _Walk:
     visit, the case's remaining pages are skipped and ``done`` is not
     called."""
 
-    pages: Sequence[PageRecord]
+    pages: Sequence[PageRecord | SeedCandidate]
     visit: Callable[[int, DocumentTree], None]
     done: Callable[[], None]
     failure: Optional[GatewayError] = None
@@ -188,7 +195,7 @@ def cmd_prepare(args: argparse.Namespace) -> int:
     out.mkdir(parents=True, exist_ok=True)
     cases = build_cases(manifest, sample_n=args.sample, rng_seed=args.seed)
     for case in cases:
-        dump_json(case.to_record(), out / f"{case.case_id}.json")
+        dump_json(to_record(case), out / f"{case.case_id}.json")
     dump_json(
         {
             "corpus_root": str(manifest.root.resolve()),
@@ -221,33 +228,24 @@ def cmd_generate(args: argparse.Namespace) -> int:
         )
         by_id = {p.page_id: p for p in case.pages}
         records = [by_id[page_id] for page_id in seed_ids]
-        seeds: list[dict] = [{} for _ in records]
+        seeds: list[Optional[SeedCandidate]] = [None for _ in records]
 
         def visit(index: int, page: DocumentTree) -> None:
             record = records[index]
             sequence, trace = generate(page, case.instruction, gateway, cfg)
             trace.html_path = str((corpus_root / record.html_path).resolve())
             trace_file = f"{case.case_id}__{record.page_id}.json"
-            dump_json(trace.to_record(), out / "traces" / trace_file)
-            seeds[index] = {
-                "page_id": record.page_id,
-                "html_path": record.html_path,
-                "gold": list(record.gold),
-                "proposed_values": list(trace.final_values),
-                "sequence": sequence.to_record() if sequence is not None else None,
-                "trace_file": f"traces/{trace_file}",
-            }
+            dump_json(to_record(trace), out / "traces" / trace_file)
+            seeds[index] = SeedCandidate(
+                record.page_id, record.html_path, record.gold, trace.final_values,
+                sequence, f"traces/{trace_file}",
+            )
 
         def done() -> None:
-            dump_json(
-                {
-                    "case_id": case.case_id,
-                    "instruction": case.instruction,
-                    "strategy": cfg.strategy.value,
-                    "seeds": seeds,
-                },
-                out / "candidates" / f"{case.case_id}.json",
+            candidates_file = CandidatesFile(
+                case.case_id, case.instruction, cfg.strategy.value, tuple(seeds)
             )
+            dump_json(to_record(candidates_file), out / "candidates" / f"{case.case_id}.json")
 
         return _Walk(records, visit, done)
 
@@ -283,34 +281,30 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
         gateway = LlmGateway(BackendConfig.from_file(args.backend))
 
     def plan(path: Path) -> _Walk:
-        case_id, instruction, candidates, seeds, proposed = read_record(path, _decode_candidates)
-        seed_ids = [seed.page_id for seed in seeds]
+        candidates_file = read_record(path, partial(from_record, CandidatesFile))
+        # A seed without a sequence is one where generation failed.
+        seeds = [seed for seed in candidates_file.seeds if seed.sequence is not None]
+        candidates = tuple(seed.sequence for seed in seeds)
+        seed_ids = tuple(seed.page_id for seed in seeds)
         columns: list[list] = [[] for _ in seeds]  # matrix columns, one per seed
 
         def visit(index: int, page: DocumentTree) -> None:
             columns[index] = [row[0] for row in cross_execute(candidates, [page])]
 
         def done() -> None:
-            matrix = list(zip(*columns))
+            matrix = tuple(zip(*columns))
             chosen, index = None, None
             if candidates:
                 choice = synthesize(
-                    candidates, matrix, proposed, gateway=gateway,
-                    instruction=instruction, seed_ids=seed_ids,
+                    candidates, matrix, [seed.proposed_values for seed in seeds],
+                    gateway=gateway, instruction=candidates_file.instruction, seed_ids=seed_ids,
                     gold_values=[seed.gold for seed in seeds] if args.gold else None,
                 )
-                chosen, index = choice.sequence.to_record(), choice.index
-            dump_json(
-                {
-                    "case_id": case_id,
-                    "chosen_index": index,
-                    "candidates": [c.to_record() for c in candidates],
-                    "matrix": [[result.to_record() for result in row] for row in matrix],
-                    "seed_ids": seed_ids,
-                    "sequence": chosen,
-                },
-                out / f"{case_id}.json",
+                chosen, index = choice.sequence, choice.index
+            sequence_file = SequenceFile(
+                candidates_file.case_id, index, candidates, matrix, seed_ids, chosen
             )
+            dump_json(to_record(sequence_file), out / f"{candidates_file.case_id}.json")
 
         return _Walk(seeds, visit, done)
 
@@ -334,15 +328,16 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     def plan(name: str, case_id: str, sequence: Optional[ActionSequence],
              case: WebpageCase) -> _Walk:
-        pages: dict[str, dict] = {}
+        pages: dict[str, ExtractionResult] = {}
         if sequence is None:
-            pages = {p.page_id: {"values": [], "status": "no_match"} for p in case.pages}
+            no_match = ExtractionResult((), ExtractionStatus.NO_MATCH)
+            pages = {p.page_id: no_match for p in case.pages}
 
         def visit(index: int, page: DocumentTree) -> None:
-            pages[case.pages[index].page_id] = extract(page, sequence).to_record()
+            pages[case.pages[index].page_id] = extract(page, sequence)
 
         def done() -> None:
-            dump_json({"case_id": case_id, "pages": pages}, out / name)
+            dump_json(to_record(ResultsFile(case_id, pages)), out / name)
 
         # A case without a sequence needs no page.
         return _Walk(case.pages if sequence is not None else (), visit, done)
@@ -350,10 +345,10 @@ def cmd_run(args: argparse.Namespace) -> int:
     websites: dict[tuple[str, str], list[_Walk]] = {}
     files = _case_files(sequences_dir)
     for path in files:
-        case_id, sequence = read_record(path, _decode_chosen)
-        case = load_case(cases_dir / f"{case_id}.json")
+        chosen = read_record(path, partial(from_record, SequenceFile))
+        case = load_case(cases_dir / f"{chosen.case_id}.json")
         websites.setdefault((case.domain, case.website), []).append(
-            plan(path.name, case_id, sequence, case)
+            plan(path.name, chosen.case_id, chosen.sequence, case)
         )
 
     _walk_websites(corpus_root, websites.values(), args.jobs)
@@ -367,20 +362,21 @@ def cmd_eval(args: argparse.Namespace) -> int:
     cases_dir = Path(args.cases)
     outcomes = []
     for path in _case_files(results_dir):
-        case_id, values = read_record(path, _decode_results)
-        case = load_case(cases_dir / f"{case_id}.json")
+        results = read_record(path, partial(from_record, ResultsFile))
+        case = load_case(cases_dir / f"{results.case_id}.json")
         pages = []
         for page_record in case.pages:
-            extracted = values.get(page_record.page_id, ())
+            result = results.pages.get(page_record.page_id)
+            extracted = result.values if result is not None else ()
             pages.append((extracted, list(page_record.gold), page_record.page_id))
-        outcomes.append(classify_case(case_id, pages))
+        outcomes.append(classify_case(results.case_id, pages))
     if not outcomes:
         raise DatasetError(f"no result files in {results_dir}")
     report = aggregate(outcomes)
     table = report.TSV_HEADER + "\n" + report.to_tsv_row(args.model, args.method) + "\n"
     Path(args.out).write_text(table, encoding="utf-8")
     if args.per_case:
-        dump_json([o.to_record() for o in outcomes], args.per_case)
+        dump_json(to_record(outcomes), args.per_case)
     from .evaluation import Label
 
     print(
@@ -398,13 +394,14 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    traces = [_load_trace(p) for p in sorted(traces_dir.glob("*.json"))]
+    load_trace = partial(from_record, GenerationTrace)
+    traces = [read_record(p, load_trace) for p in sorted(traces_dir.glob("*.json"))]
     histogram = analysis.sequence_length_histogram(traces)
     (out / "lengths.tsv").write_text(histogram.to_tsv(args.dmax) + "\n", encoding="utf-8")
 
     sequences = []
     for path in _case_files(sequences_dir):
-        _, sequence = read_record(path, _decode_chosen)
+        sequence = read_record(path, partial(from_record, SequenceFile)).sequence
         if sequence is not None:
             sequences.append(sequence)
     fragility = analysis.fragility_report(sequences)
@@ -456,7 +453,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
-    trace = _load_trace(Path(args.trace))
+    trace = read_record(args.trace, partial(from_record, GenerationTrace))
     if not trace.html_path:
         raise DatasetError("trace does not reference its page file")
     page = _load_page(Path(), trace.html_path, trace.page_id)

@@ -1,4 +1,5 @@
-"""Corpus loading: manifests, gold labels, page sampling, case files.
+"""Corpus loading: manifests, gold labels, page sampling, case files, and
+the record codec that writes and reads every artifact.
 
 A corpus is a directory of HTML files described by a JSON manifest. Each
 (website, attribute) pair becomes one test case: up to ``sample_n`` pages
@@ -14,9 +15,13 @@ import hashlib
 import json
 import os
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
+from enum import Enum
+from functools import cache, partial
+from operator import attrgetter
 from pathlib import Path
-from typing import Any, Callable, TypeVar
+from types import UnionType
+from typing import Any, Callable, TypeVar, Union, get_args, get_origin, get_type_hints
 
 from .dom import normalize_escapes
 
@@ -121,13 +126,6 @@ class PageRecord:
     html_path: str  # relative to the corpus root
     gold: tuple[str, ...]
 
-    def to_record(self) -> dict:
-        return {
-            "page_id": self.page_id,
-            "html_path": self.html_path,
-            "gold": list(self.gold),
-        }
-
 
 @dataclass(frozen=True)
 class WebpageCase:
@@ -144,15 +142,6 @@ class WebpageCase:
     @property
     def page_ids(self) -> tuple[str, ...]:
         return tuple(p.page_id for p in self.pages)
-
-    def to_record(self) -> dict:
-        return {
-            "domain": self.domain,
-            "website": self.website,
-            "attribute": self.attribute,
-            "instruction": self.instruction,
-            "pages": [p.to_record() for p in self.pages],
-        }
 
 
 @dataclass
@@ -271,36 +260,6 @@ def build_cases(
     return cases
 
 
-def string_tuple(value: Any) -> tuple[str, ...]:
-    """A decoded JSON list of strings as a tuple; ``TypeError`` on anything else."""
-    if not isinstance(value, list) or not all(isinstance(item, str) for item in value):
-        raise TypeError(f"expected a list of strings, got {value!r:.80}")
-    return tuple(value)
-
-
-_CASE_KEYS = {"domain", "website", "attribute", "instruction", "pages"}
-_PAGE_KEYS = {"page_id", "html_path", "gold"}
-
-
-def case_from_record(record: dict) -> WebpageCase:
-    if not isinstance(record, dict) or not _CASE_KEYS.issubset(record):
-        missing = _CASE_KEYS - set(record) if isinstance(record, dict) else _CASE_KEYS
-        raise SchemaViolation(f"case record missing keys: {sorted(missing)}")
-    pages = []
-    for page in record["pages"]:
-        if not isinstance(page, dict) or not _PAGE_KEYS.issubset(page):
-            missing = _PAGE_KEYS - set(page) if isinstance(page, dict) else _PAGE_KEYS
-            raise SchemaViolation(f"page record missing keys: {sorted(missing)}")
-        pages.append(PageRecord(page["page_id"], page["html_path"], string_tuple(page["gold"])))
-    return WebpageCase(
-        domain=record["domain"],
-        website=record["website"],
-        attribute=record["attribute"],
-        instruction=record["instruction"],
-        pages=tuple(pages),
-    )
-
-
 def dump_json(record, path: str | Path) -> None:
     """Canonical JSON writer shared by every artifact for byte-stable files.
 
@@ -318,6 +277,127 @@ def dump_json(record, path: str | Path) -> None:
 T = TypeVar("T")
 
 
+# --------------------------------------------------------------------------
+# Record codec: every artifact is a dataclass, written as the JSON object of
+# its fields and read back against its type hints. Each type's encoder and
+# decoder is built once, on first use, and cached.
+# --------------------------------------------------------------------------
+
+#: Field metadata. An ``OPTIONAL`` field is left out of its record when it
+#: is ``None``, and a missing key reads as ``None``. A ``TRANSIENT`` field is
+#: never written and always reads as its default.
+OPTIONAL = {"record": "optional"}
+TRANSIENT = {"record": "transient"}
+
+#: The JSON types a scalar field takes: a float field takes an integer too,
+#: and a bare ``dict`` is free-form JSON.
+_KINDS = {str: (str,), int: (int,), float: (float, int), bool: (bool,), dict: (dict,), list: (list,)}
+
+
+def _recorded_fields(cls: type) -> list[tuple[str, bool]]:
+    """``(name, optional)`` of each field of a dataclass that its record holds."""
+    modes = [(f.name, f.metadata.get("record")) for f in fields(cls)]
+    return [(name, mode == "optional") for name, mode in modes if mode != "transient"]
+
+
+def to_record(value: Any) -> Any:
+    """The JSON record of ``value``: a dataclass becomes the object of its
+    fields, an enum its value, a tuple a list."""
+    return _encoder(type(value))(value)
+
+
+@cache
+def _encoder(cls: type) -> Callable[[Any], Any]:
+    if is_dataclass(cls):
+        plan = _recorded_fields(cls)
+
+        def encode(value: Any) -> dict:
+            record = {}
+            for name, optional in plan:
+                item = getattr(value, name)
+                if item is not None or not optional:
+                    record[name] = to_record(item)
+            return record
+
+        return encode
+    if issubclass(cls, Enum):
+        return attrgetter("value")
+    if issubclass(cls, (tuple, list)):
+        return lambda value: [to_record(item) for item in value]
+    if issubclass(cls, dict):
+        return lambda value: {key: to_record(item) for key, item in value.items()}
+    return lambda value: value
+
+
+def from_record(cls: type[T], record: Any) -> T:
+    """Build a ``cls`` from its record, checking each value against its type
+    hint. A missing key raises ``KeyError`` and a value of the wrong type
+    ``TypeError``; both name the field's path, as in ``pages[0].html_path``.
+    """
+    return _decoder(cls)(record, "")
+
+
+def _mismatch(path: str, expected: str, value: Any) -> TypeError:
+    return TypeError(f"{path.lstrip('.') or 'record'}: expected {expected}, got {value!r:.80}")
+
+
+def _checked(kind: type, value: Any, path: str) -> Any:
+    if type(value) not in _KINDS[kind]:
+        raise _mismatch(path, kind.__name__, value)
+    return value
+
+
+@cache
+def _decoder(hint: Any) -> Callable[[Any, str], Any]:
+    origin, args = get_origin(hint), get_args(hint)
+    if origin in (Union, UnionType):  # Optional[T]: the only union a record holds
+        inner = _decoder(next(arg for arg in args if arg is not type(None)))
+        return lambda value, path: None if value is None else inner(value, path)
+    if origin is tuple:
+        item = _decoder(args[0])
+        return lambda value, path: tuple(
+            item(element, f"{path}[{i}]") for i, element in enumerate(_checked(list, value, path))
+        )
+    if origin is dict:
+        item = _decoder(args[1])
+        return lambda value, path: {
+            key: item(element, f"{path}.{key}")
+            for key, element in _checked(dict, value, path).items()
+        }
+    if is_dataclass(hint):
+        return _fields_of(hint)
+    if issubclass(hint, Enum):
+        return _enum(hint)
+    return partial(_checked, hint)
+
+
+def _fields_of(cls: type) -> Callable[[Any, str], Any]:
+    hints = get_type_hints(cls)
+    plan = [(name, _decoder(hints[name]), optional) for name, optional in _recorded_fields(cls)]
+
+    def decode(value: Any, path: str) -> Any:
+        record = _checked(dict, value, path)
+        kwargs = {}
+        for name, item, optional in plan:
+            if name in record:
+                kwargs[name] = item(record[name], f"{path}.{name}")
+            elif not optional:
+                raise KeyError(f"{path}.{name}".lstrip("."))
+        return cls(**kwargs)
+
+    return decode
+
+
+def _enum(cls: type[Enum]) -> Callable[[Any, str], Enum]:
+    def decode(value: Any, path: str) -> Enum:
+        try:
+            return cls(value)
+        except (ValueError, TypeError):
+            raise _mismatch(path, f"one of {[member.value for member in cls]}", value) from None
+
+    return decode
+
+
 def read_record(path: str | Path, decode: Callable[[Any], T]) -> T:
     """Read a JSON file and decode it; a missing or ill-typed field is a data error."""
     record = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -329,6 +409,6 @@ def read_record(path: str | Path, decode: Callable[[Any], T]) -> T:
 
 def load_case(path: str | Path) -> WebpageCase:
     try:
-        return read_record(path, case_from_record)
+        return read_record(path, partial(from_record, WebpageCase))
     except json.JSONDecodeError as exc:
         raise SchemaViolation(f"case file is not valid JSON: {exc}") from exc

@@ -61,16 +61,6 @@ class PageScore:
     extracted_size: int
     gold_size: int
 
-    def to_record(self) -> dict:
-        return {
-            "page_id": self.page_id,
-            "precision": self.precision,
-            "recall": self.recall,
-            "hits": self.hits,
-            "extracted_size": self.extracted_size,
-            "gold_size": self.gold_size,
-        }
-
 
 @dataclass(frozen=True)
 class CaseOutcome:
@@ -80,16 +70,6 @@ class CaseOutcome:
     recall: Optional[float]
     f1: Optional[float]
     pages: tuple[PageScore, ...]
-
-    def to_record(self) -> dict:
-        return {
-            "case_id": self.case_id,
-            "label": self.label.value,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "pages": [p.to_record() for p in self.pages],
-        }
 
 
 def _f1(precision: Optional[float], recall: Optional[float]) -> Optional[float]:

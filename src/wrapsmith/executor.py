@@ -19,12 +19,12 @@ synthesis ranks candidates by that count and ``analyze`` tallies it.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Optional
 
 from . import xpath as xp
-from .dataset import string_tuple
+from .dataset import OPTIONAL
 from .dom import DocumentTree, ElementNode
 
 
@@ -60,25 +60,11 @@ class ExtractionResult:
 
     values: tuple[str, ...]
     status: ExtractionStatus
-    failed_step: Optional[int] = None
+    failed_step: Optional[int] = field(default=None, metadata=OPTIONAL)
 
     @property
     def ok(self) -> bool:
         return self.status is ExtractionStatus.OK
-
-    def to_record(self) -> dict:
-        record: dict = {"values": list(self.values), "status": self.status.value}
-        if self.failed_step is not None:
-            record["failed_step"] = self.failed_step
-        return record
-
-    @classmethod
-    def from_record(cls, record: dict) -> "ExtractionResult":
-        return cls(
-            values=tuple(record["values"]),
-            status=ExtractionStatus(record["status"]),
-            failed_step=record.get("failed_step"),
-        )
 
 
 @dataclass(frozen=True)
@@ -101,23 +87,6 @@ class ActionSequence:
     @property
     def pruning_steps(self) -> tuple[str, ...]:
         return self.steps[:-1]
-
-    def to_record(self) -> dict:
-        return {
-            "steps": list(self.steps),
-            "provenance": {
-                "seed_page": self.provenance.seed_page,
-                "strategy": self.provenance.strategy,
-            },
-        }
-
-    @classmethod
-    def from_record(cls, record: dict) -> "ActionSequence":
-        prov = record["provenance"]
-        return cls(
-            steps=string_tuple(record["steps"]),
-            provenance=Provenance(prov["seed_page"], prov["strategy"]),
-        )
 
 
 def normalize_value(value: str) -> str:
@@ -216,8 +185,6 @@ def _is_fragile(literal: xp.Expr, operand: xp.Expr) -> bool:
 def _is_attribute_operand(expr: xp.Expr) -> bool:
     if isinstance(expr, xp.Path):
         return any(step.axis == "attribute" for step in expr.steps)
-    if isinstance(expr, xp.UnionExpr):
-        return any(_is_attribute_operand(p) for p in expr.paths)
     return False
 
 

@@ -21,8 +21,8 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
-from .dataset import CorpusManifest, WebpageCase, build_cases, dump_json
-from .dom import DocumentTree
+from .dataset import CorpusManifest, dump_json
+from .dom import parse_html
 from .gateway import BackendConfig, BackendKind, LlmGateway, ScriptTable, prompt_fingerprint
 from .generation import StrategyConfig, generate
 
@@ -142,6 +142,7 @@ def build_synthetic_corpus(
 
     manifest_record: dict = {"domains": {"nbaplayer": {"websites": {}}}}
     websites = manifest_record["domains"]["nbaplayer"]["websites"]
+    written: list[tuple[str, str, str]] = []  # (site id, page id, html) of every page
     for site in range(sites):
         site_id = f"site{site:02d}"
         site_dir = root / "pages" / site_id
@@ -151,9 +152,9 @@ def build_synthetic_corpus(
         for page in range(pages_per_site):
             page_id = f"p{page:02d}"
             rel = f"pages/{site_id}/{page_id}.html"
-            (root / rel).write_text(
-                _page_html(site, page, outlier=page == 0), encoding="utf-8"
-            )
+            html = _page_html(site, page, outlier=page == 0)
+            (root / rel).write_text(html, encoding="utf-8")
+            written.append((site_id, page_id, html))
             pages[page_id] = rel
             if "height" in gold:
                 gold["height"][page_id] = [f"6-{page}"]
@@ -164,33 +165,23 @@ def build_synthetic_corpus(
     manifest_path = root / "manifest.json"
     dump_json(manifest_record, manifest_path)
 
-    # Record a scripted entry for every page of every case, so any seed
-    # selection later replays without the policy. The cases of a website
-    # share its pages, so each page is loaded once for all of them.
-    from .cli import _Walk, _walk_websites  # cli imports this module
-
+    # Record a scripted entry for every page and attribute, so any seed
+    # selection later replays without the policy. Each page is parsed once
+    # for all the attributes.
     recorder = _Recorder()
     gateway = LlmGateway(BackendConfig(kind=BackendKind.SCRIPTED), transport=recorder)
     manifest = CorpusManifest.load(manifest_path)
     cfg = StrategyConfig(d_max=d_max)
-
-    def stage(case: WebpageCase) -> _Walk:
-        def visit(index: int, page: DocumentTree) -> None:
-            sequence, trace = generate(page, case.instruction, gateway, cfg)
+    for site_id, page_id, html in written:
+        tree = parse_html(html, page_id)
+        for attr in attributes:
+            instruction = manifest.instruction_for("nbaplayer", attr)
+            sequence, trace = generate(tree, instruction, gateway, cfg)
             if sequence is None:
                 raise AssertionError(
-                    f"fixture staging failed for {case.case_id}/{page.source_id}: "
+                    f"fixture staging failed for {site_id}/{page_id}/{attr}: "
                     f"{trace.failure_reason}"
                 )
-
-        return _Walk(case.pages, visit, lambda: None)
-
-    websites: dict[tuple[str, str], list[_Walk]] = {}
-    for case in build_cases(manifest, sample_n=pages_per_site, rng_seed=0):
-        websites.setdefault((case.domain, case.website), []).append(stage(case))
-    failure = _walk_websites(root, websites.values(), 1)
-    if failure is not None:
-        raise failure
 
     script_path = root / "script.json"
     ScriptTable(recorder.entries).save(script_path)

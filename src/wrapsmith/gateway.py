@@ -25,13 +25,13 @@ import time
 import urllib.error
 import urllib.request
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from hashlib import sha256
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence
 
-from .dataset import dump_json, read_record
+from .dataset import TRANSIENT, dump_json, read_record
 from .dom import DocumentTree
 from .executor import normalize_value, normalize_values
 from .prompts import render_prompt
@@ -121,32 +121,13 @@ class LlmExchange:
     raw_response: str
     parsed: Optional[dict]
     attempts: int
-    latency_s: float = 0.0
+    latency_s: float = field(default=0.0, metadata=TRANSIENT)
 
     def parsed_str(self, key: str) -> str:
         if not self.parsed:
             return ""
         value = self.parsed.get(key, "")
         return value if isinstance(value, str) else json.dumps(value, ensure_ascii=False)
-
-    def to_record(self) -> dict:
-        return {
-            "template": self.template,
-            "prompt": self.prompt,
-            "raw_response": self.raw_response,
-            "parsed": self.parsed,
-            "attempts": self.attempts,
-        }
-
-    @classmethod
-    def from_record(cls, record: dict) -> "LlmExchange":
-        return cls(
-            template=record["template"],
-            prompt=record["prompt"],
-            raw_response=record["raw_response"],
-            parsed=record["parsed"],
-            attempts=record["attempts"],
-        )
 
 
 def prompt_fingerprint(template: str, prompt: str) -> str:

@@ -70,37 +70,6 @@ class StepRecord:
     parser_result: Optional[ExtractionResult]
     decision: str
 
-    def to_record(self) -> dict:
-        return {
-            "iteration": self.iteration,
-            "metrics_before": {
-                "token_count": self.metrics_before.token_count,
-                "height": self.metrics_before.height,
-            },
-            "exchanges": [e.to_record() for e in self.exchanges],
-            "proposed_value": list(self.proposed_value),
-            "proposed_xpath": self.proposed_xpath,
-            "parser_result": self.parser_result.to_record() if self.parser_result else None,
-            "decision": self.decision,
-        }
-
-    @classmethod
-    def from_record(cls, record: dict) -> "StepRecord":
-        metrics = record["metrics_before"]
-        return cls(
-            iteration=record["iteration"],
-            metrics_before=TreeMetrics(metrics["token_count"], metrics["height"]),
-            exchanges=tuple(LlmExchange.from_record(e) for e in record["exchanges"]),
-            proposed_value=tuple(record["proposed_value"]),
-            proposed_xpath=record["proposed_xpath"],
-            parser_result=(
-                ExtractionResult.from_record(record["parser_result"])
-                if record["parser_result"]
-                else None
-            ),
-            decision=record["decision"],
-        )
-
 
 @dataclass
 class GenerationTrace:
@@ -116,35 +85,6 @@ class GenerationTrace:
     @property
     def succeeded(self) -> bool:
         return self.sequence is not None
-
-    def to_record(self) -> dict:
-        return {
-            "page_id": self.page_id,
-            "instruction": self.instruction,
-            "strategy": self.strategy,
-            "steps": [s.to_record() for s in self.steps],
-            "sequence": self.sequence.to_record() if self.sequence is not None else None,
-            "failure_reason": self.failure_reason,
-            "final_values": list(self.final_values),
-            "html_path": self.html_path,
-        }
-
-    @classmethod
-    def from_record(cls, record: dict) -> "GenerationTrace":
-        return cls(
-            page_id=record["page_id"],
-            instruction=record["instruction"],
-            strategy=record["strategy"],
-            steps=tuple(StepRecord.from_record(s) for s in record["steps"]),
-            sequence=(
-                ActionSequence.from_record(record["sequence"])
-                if record["sequence"] is not None
-                else None
-            ),
-            failure_reason=record["failure_reason"],
-            final_values=tuple(record["final_values"]),
-            html_path=record.get("html_path", ""),
-        )
 
 
 def _value_list(raw) -> tuple[str, ...]:

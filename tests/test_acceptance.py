@@ -21,7 +21,7 @@ from oracles import (
 from conftest import json_answer, make_gateway
 from wrapsmith.analysis import CostModelParams, breakeven_pages, histogram_mean
 from wrapsmith.cli import main
-from wrapsmith.dataset import derive_seed, load_case
+from wrapsmith.dataset import derive_seed, from_record, load_case
 from wrapsmith.dom import parse_html
 from wrapsmith.evaluation import Label, classify_case
 from wrapsmith.executor import eval_text, normalize_values, prune
@@ -204,7 +204,7 @@ def test_criterion_7_monotone_compression(pipeline, synthetic_corpus):
     traces_dir = pipeline["gen"] / "traces"
     checked = 0
     for path in sorted(traces_dir.glob("*.json")):
-        trace = GenerationTrace.from_record(json.loads(path.read_text()))
+        trace = from_record(GenerationTrace, json.loads(path.read_text()))
         if not trace.succeeded or not trace.sequence.steps:
             continue
         origin = trace.steps[0].metrics_before

@@ -10,7 +10,7 @@ from wrapsmith.analysis import (
     sequence_length_histogram,
 )
 from wrapsmith.cli import main
-from wrapsmith.dataset import dump_json
+from wrapsmith.dataset import dump_json, to_record
 from wrapsmith.dom import TreeMetrics
 from wrapsmith.executor import ActionSequence, Provenance
 from wrapsmith.generation import GenerationTrace, StepRecord, StrategyConfig, generate
@@ -37,7 +37,7 @@ def compression_rows(tmp_path, traces):
     traces_dir = tmp_path / "traces"
     traces_dir.mkdir()
     for index, trace in enumerate(traces):
-        dump_json(trace.to_record(), traces_dir / f"t{index}.json")
+        dump_json(to_record(trace), traces_dir / f"t{index}.json")
     stats = tmp_path / "stats"
     argv = ["analyze", "--traces", traces_dir, "--sequences", tmp_path, "--out", stats]
     assert main([str(a) for a in argv]) == 0

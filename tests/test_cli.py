@@ -1,16 +1,23 @@
 import gc
 import json
+from functools import partial
 
 import pytest
 
 from conftest import json_answer, make_gateway
 from wrapsmith import cli, dom
 from wrapsmith.cli import main
-from wrapsmith.dataset import PageRecord, WebpageCase, derive_seed, dump_json, load_case
+from wrapsmith.dataset import (
+    PageRecord, WebpageCase, derive_seed, dump_json, from_record, load_case, read_record,
+    to_record,
+)
 from wrapsmith.dom import TreeMetrics, measure
-from wrapsmith.executor import ActionSequence, Provenance, extract, prune
+from wrapsmith.evaluation import CaseOutcome
+from wrapsmith.executor import (
+    ActionSequence, ExtractionResult, ExtractionStatus, Provenance, extract, prune,
+)
 from wrapsmith.gateway import BackendConfig, GatewayError, LlmGateway, ScriptTable, prompt_fingerprint
-from wrapsmith.generation import GenerationTrace
+from wrapsmith.generation import GenerationTrace, StepRecord
 from wrapsmith.synthesis import select_seeds
 
 
@@ -266,6 +273,30 @@ class TestPipelineTail:
         trace = sorted((gen / "traces").glob("*.json"))[0]
         assert run_cli("replay", "--trace", trace) == 0
 
+    def test_every_artifact_re_encodes_to_its_file(self, generated):
+        # Decoding any file the chain writes and encoding it again gives the
+        # same bytes: the dataclasses and the codec are the record format.
+        corpus, cases, tmp, gen = generated
+        seq, results, per_case = tmp / "seq", tmp / "results", tmp / "per-case.json"
+        assert run_cli("synthesize", "--candidates", gen, "--out", seq) == 0
+        assert run_cli("run", "--sequences", seq, "--cases", cases, "--out", results) == 0
+        assert run_cli("eval", "--results", results, "--cases", cases,
+                       "--per-case", per_case, "--out", tmp / "report.tsv") == 0
+        files = [(per_case, tuple[CaseOutcome, ...])]
+        for folder, kind in [(cases, WebpageCase), (gen / "traces", GenerationTrace),
+                             (gen / "candidates", cli.CandidatesFile), (seq, cli.SequenceFile),
+                             (results, cli.ResultsFile)]:
+            paths = cli._case_files(folder)
+            assert paths, folder
+            files += [(path, kind) for path in paths]
+        again = tmp / "again.json"
+        for path, kind in files:
+            dump_json(to_record(read_record(path, partial(from_record, kind))), again)
+            assert again.read_bytes() == path.read_bytes(), path
+        matrices = [json.loads(path.read_text())["matrix"] for path in cli._case_files(seq)]
+        # The outlier seed's rule fails on the other seeds at a known step.
+        assert any("failed_step" in result for m in matrices for row in m for result in row)
+
     def test_replay_detects_tampering(self, generated, capsys):
         _, _, tmp, gen = generated
         trace_path = sorted((gen / "traces").glob("*.json"))[0]
@@ -313,9 +344,7 @@ def write_candidates(tmp_path, cases):
             "html_path": f"{page_id}.html",
             "gold": [page_id],
             "proposed_values": [page_id],
-            "sequence": ActionSequence(
-                ("//b/text()",), Provenance(page_id, "progressive")
-            ).to_record(),
+            "sequence": to_record(ActionSequence(("//b/text()",), Provenance(page_id, "progressive"))),
             "trace_file": f"traces/{page_id}.json",
         }
 
@@ -430,10 +459,9 @@ class TestParseOncePerWebsite:
             "d", "w", "a", "i",
             tuple(PageRecord(p, f"{p}.html", ()) for p in ("p1", "gone")),
         )
-        dump_json(case.to_record(), cases / f"{case.case_id}.json")
+        dump_json(to_record(case), cases / f"{case.case_id}.json")
         sequence = ActionSequence(("//b/text()",), Provenance("p1", "progressive"))
-        dump_json({"case_id": case.case_id, "sequence": sequence.to_record()},
-                  seq / f"{case.case_id}.json")
+        dump_json(sequence_file_record(case.case_id, to_record(sequence)), seq / f"{case.case_id}.json")
         assert run_cli("run", "--sequences", seq, "--cases", cases,
                        "--out", tmp_path / "results") == 3
         error = json.loads(capsys.readouterr().err.strip())
@@ -454,7 +482,7 @@ def write_case(tmp_path, page_ids, instruction="i", html=None):
         "d", "w", "a", instruction,
         tuple(PageRecord(p, f"{p}.html", ("v",)) for p in page_ids),
     )
-    dump_json(case.to_record(), cases / f"{case.case_id}.json")
+    dump_json(to_record(case), cases / f"{case.case_id}.json")
     return corpus, cases, case
 
 
@@ -470,7 +498,7 @@ class TestAttributeAbsent:
                        "--out", gen) == 0
 
         trace_path = gen / "traces" / f"{case.case_id}__p1.json"
-        trace = GenerationTrace.from_record(json.loads(trace_path.read_text()))
+        trace = from_record(GenerationTrace, json.loads(trace_path.read_text()))
         assert trace.succeeded and trace.sequence.steps == ()
 
         assert run_cli("synthesize", "--candidates", gen, "--out", tmp_path / "seq") == 0
@@ -494,7 +522,7 @@ class TestEvalGolden:
                 PageRecord(pid, f"pages/{pid}.html", tuple(gold)) for pid, gold in pages
             ),
         )
-        dump_json(case.to_record(), cases_dir / f"{case.case_id}.json")
+        dump_json(to_record(case), cases_dir / f"{case.case_id}.json")
         return case
 
     def test_handwritten_results_exact_table(self, tmp_path, capsys):
@@ -558,14 +586,23 @@ class TestErrors:
 
 
 def trace_record(page_path):
-    return GenerationTrace(
+    return to_record(GenerationTrace(
         page_id="p",
         instruction="items",
         strategy="progressive",
+        steps=(StepRecord(0, TreeMetrics(9, 3), (), ("x",), "//li/text()",
+                          ExtractionResult(("x",), ExtractionStatus.OK), "accept"),),
         sequence=ActionSequence(("//li/text()",), Provenance("p", "progressive")),
         final_values=("x",),
         html_path=str(page_path),
-    ).to_record()
+    ))
+
+
+def sequence_file_record(case_id, sequence):
+    """A ``synthesize`` output file whose only candidate, the record
+    ``sequence``, is chosen."""
+    return {"case_id": case_id, "chosen_index": 0, "candidates": [sequence], "matrix": [],
+            "seed_ids": [], "sequence": sequence}
 
 
 class TestMalformedInputs:
@@ -601,12 +638,13 @@ class TestMalformedInputs:
         ("analyze", "provenance"),
     ])
     def test_record_missing_a_key_is_data_error(self, tmp_path, capsys, command, missing):
-        sequence = ActionSequence(("//b/text()",), Provenance("p1", "progressive")).to_record()
+        sequence = to_record(ActionSequence(("//b/text()",), Provenance("p1", "progressive")))
         record = {
-            "synthesize": {"case_id": "d__w__a", "instruction": "i", "seeds": []},
-            "run": {"case_id": "d__w__a", "sequence": sequence},
+            "synthesize": {"case_id": "d__w__a", "instruction": "i", "strategy": "progressive",
+                           "seeds": []},
+            "run": sequence_file_record("d__w__a", sequence),
             "eval": {"case_id": "d__w__a", "pages": {}},
-            "analyze": {"case_id": "d__w__a", "sequence": sequence},
+            "analyze": sequence_file_record("d__w__a", sequence),
         }[command]
         del (sequence if missing == "provenance" else record)[missing]
         data, cases = tmp_path / "data", tmp_path / "cases"
@@ -615,7 +653,7 @@ class TestMalformedInputs:
         dump_json({"corpus_root": str(tmp_path)}, data / "_meta.json")
         dump_json({"corpus_root": str(tmp_path)}, cases / "_meta.json")
         case = WebpageCase("d", "w", "a", "i", (PageRecord("p1", "p1.html", ("v",)),))
-        dump_json(case.to_record(), cases / f"{case.case_id}.json")
+        dump_json(to_record(case), cases / f"{case.case_id}.json")
         dump_json(record, (data / "candidates" if command == "synthesize" else data) / "c.json")
         args = {
             "synthesize": ("--candidates", data),
@@ -636,42 +674,67 @@ class TestMalformedInputs:
         ("run", "steps"),
         ("eval", "values"),
         ("synthesize", "proposed_values"),
+        ("run", "html_path"),
+        ("run", "page_id"),
+        ("generate", "instruction"),
+        ("generate", "domain"),
+        ("synthesize", "html_path"),
+        ("synthesize", "case_id"),
+        ("synthesize", "page_id"),
+        ("run", "strategy"),
+        ("analyze", "decision"),
+        ("analyze", "status"),
     ])
     def test_meta_or_case_with_a_bad_field_is_data_error(
         self, tmp_path, capsys, synthetic_corpus, command, broken
     ):
-        # A _meta.json without its corpus root, a case whose gold is no list
-        # or a list with a number in it, or a stage input with a number
-        # where a list of strings belongs.
+        # A _meta.json without its corpus root, or a case, stage input or
+        # trace with one field of the wrong type: a gold label, step or
+        # value that is no string, a number for a path, id, instruction or
+        # strategy, a list for a domain or case id, an unknown status.
         data, cases = tmp_path / "data", tmp_path / "cases"
         (data / "candidates").mkdir(parents=True)
+        (data / "traces").mkdir()
         cases.mkdir()
         (tmp_path / "p1.html").write_text("<p><b>v</b></p>", encoding="utf-8")
         meta = {} if broken == "corpus_root" else {"corpus_root": str(tmp_path)}
         dump_json(meta, data / "_meta.json")
         dump_json(meta, cases / "_meta.json")
-        record = WebpageCase("d", "w", "a", "i", (PageRecord("p1", "p1.html", ("v",)),)).to_record()
-        if broken == "gold":
-            record["pages"][0]["gold"] = 5 if command == "generate" else [5]
-        dump_json(record, cases / "d__w__a.json")
-        sequence = ActionSequence(("//b/text()",), Provenance("p1", "progressive")).to_record()
+        case = to_record(WebpageCase("d", "w", "a", "i", (PageRecord("p1", "p1.html", ("v",)),)))
+        sequence = to_record(ActionSequence(("//b/text()",), Provenance("p1", "progressive")))
+        seed = {"page_id": "p1", "html_path": "p1.html", "gold": ["v"],
+                "proposed_values": ["v"], "sequence": sequence, "trace_file": "traces/p1.json"}
+        candidates = {"case_id": "d__w__a", "instruction": "i", "strategy": "progressive",
+                      "seeds": [seed]}
+        results = {"case_id": "d__w__a", "pages": {"p1": {"values": ["v"], "status": "ok"}}}
+        trace = trace_record(tmp_path / "p1.html")
+        page = seed if command == "synthesize" else case["pages"][0]
+        holder = {
+            "gold": page, "steps": sequence, "values": results["pages"]["p1"],
+            "proposed_values": seed, "html_path": page, "page_id": page, "instruction": case,
+            "domain": case, "case_id": candidates, "strategy": sequence["provenance"],
+            "decision": trace["steps"][0], "status": trace["steps"][0]["parser_result"],
+        }
+        bad = {"gold": 5 if command == "generate" else [5], "steps": [1], "values": [1],
+               "proposed_values": [3], "html_path": 5, "page_id": 5, "instruction": 5,
+               "domain": [1], "case_id": [1], "strategy": 5, "decision": 5, "status": 7}
+        if broken in holder:
+            holder[broken][broken] = bad[broken]
+        dump_json(case, cases / "d__w__a.json")
         stage_input = {
-            "gold": {"case_id": "d__w__a", "pages": {"p1": {"values": ["v"]}}},
-            "steps": {"case_id": "d__w__a", "sequence": {**sequence, "steps": [1]}},
-            "values": {"case_id": "d__w__a", "pages": {"p1": {"values": [1]}}},
-            "proposed_values": {"case_id": "d__w__a", "instruction": "i", "seeds": [{
-                "page_id": "p1", "html_path": "p1.html", "gold": ["v"],
-                "proposed_values": [3], "sequence": sequence,
-            }]},
-        }.get(broken)
+            "synthesize": (candidates, data / "candidates"),
+            "run": (sequence_file_record("d__w__a", sequence), data),
+            "eval": (results, data),
+            "analyze": (trace, data / "traces"),
+        }.get(command)
         if stage_input is not None:
-            folder = data / "candidates" if command == "synthesize" else data
-            dump_json(stage_input, folder / "c.json")
+            dump_json(stage_input[0], stage_input[1] / "c.json")
         args = {
             "generate": ("--cases", cases, "--backend", synthetic_corpus.backend_path),
             "synthesize": ("--candidates", data),
             "run": ("--sequences", data, "--cases", cases),
             "eval": ("--results", data, "--cases", cases),
+            "analyze": ("--traces", data / "traces", "--sequences", data),
         }[command]
         assert run_cli(command, *args, "--out", tmp_path / "out") == 3
         error = json.loads(capsys.readouterr().err.strip())

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -6,16 +7,20 @@ from wrapsmith import dataset
 from wrapsmith.dataset import (
     INSTRUCTIONS,
     CorpusManifest,
+    DatasetError,
     MissingGold,
     MissingTemplate,
     SchemaViolation,
     WebpageCase,
     build_cases,
-    case_from_record,
     derive_seed,
     dump_json,
+    from_record,
     load_case,
+    to_record,
 )
+from wrapsmith.executor import ExtractionResult, ExtractionStatus
+from wrapsmith.gateway import LlmExchange
 
 
 def write_corpus(root, n_pages=6, domain="nbaplayer", website="siteA",
@@ -173,21 +178,21 @@ class TestCaseRoundTrip:
     def test_save_load_structural_equality(self, tmp_path):
         case = self.make_case()
         path = tmp_path / "case.json"
-        dump_json(case.to_record(), path)
+        dump_json(to_record(case), path)
         assert load_case(path) == case
 
     def test_save_load_bit_exact(self, tmp_path):
         case = self.make_case()
         first = tmp_path / "a.json"
         second = tmp_path / "b.json"
-        dump_json(case.to_record(), first)
-        dump_json(load_case(first).to_record(), second)
+        dump_json(to_record(case), first)
+        dump_json(to_record(load_case(first)), second)
         assert first.read_bytes() == second.read_bytes()
 
     def test_dump_json_leaves_no_temp_file(self, tmp_path):
         path = tmp_path / "case.json"
         dump_json({"old": True}, path)
-        dump_json(self.make_case().to_record(), path)
+        dump_json(to_record(self.make_case()), path)
         assert [p.name for p in tmp_path.iterdir()] == ["case.json"]
         assert load_case(path) == self.make_case()
 
@@ -204,17 +209,51 @@ class TestCaseRoundTrip:
         assert json.loads(path.read_text(encoding="utf-8")) == {"old": True}
         assert [p.name for p in tmp_path.glob("*.json")] == ["case.json"]
 
-    def test_missing_gold_field_rejected(self):
-        record = self.make_case().to_record()
+    def test_missing_gold_field_rejected(self, tmp_path):
+        record = to_record(self.make_case())
         del record["pages"][0]["gold"]
-        with pytest.raises(SchemaViolation):
-            case_from_record(record)
+        dump_json(record, tmp_path / "case.json")
+        with pytest.raises(DatasetError, match=r"pages\[0\]\.gold"):
+            load_case(tmp_path / "case.json")
 
-    def test_missing_case_key_rejected(self):
-        record = self.make_case().to_record()
+    def test_missing_case_key_rejected(self, tmp_path):
+        record = to_record(self.make_case())
         del record["instruction"]
-        with pytest.raises(SchemaViolation):
-            case_from_record(record)
+        dump_json(record, tmp_path / "case.json")
+        with pytest.raises(DatasetError, match="instruction"):
+            load_case(tmp_path / "case.json")
+
+    def test_ill_typed_field_is_named_by_its_path(self):
+        record = to_record(self.make_case())
+        record["pages"][0]["html_path"] = 5
+        with pytest.raises(TypeError, match=r"^pages\[0\]\.html_path: expected str, got 5$"):
+            from_record(WebpageCase, record)
+
+
+class TestRecordCodec:
+    @pytest.mark.parametrize("result", [
+        ExtractionResult(("a", "b"), ExtractionStatus.OK),
+        ExtractionResult((), ExtractionStatus.NO_MATCH, failed_step=2),
+    ])
+    def test_failed_step_is_written_only_when_set(self, result):
+        record = to_record(result)
+        assert ("failed_step" in record) == (result.failed_step is not None)
+        assert from_record(ExtractionResult, record) == result
+
+    def test_exchange_latency_is_never_written(self):
+        exchange = LlmExchange("crawler", "p", "raw", {"value": ["v"], "n": 1}, 2, latency_s=0.5)
+        record = to_record(exchange)
+        assert "latency_s" not in record
+        assert from_record(LlmExchange, record) == replace(exchange, latency_s=0.0)
+
+    @pytest.mark.parametrize("status", [True, 1.5, None])
+    def test_a_bool_or_float_is_no_int(self, status):
+        record = {"values": [], "status": "ok", "failed_step": status}
+        if status is None:
+            assert from_record(ExtractionResult, record).failed_step is None
+            return
+        with pytest.raises(TypeError, match="failed_step: expected int"):
+            from_record(ExtractionResult, record)
 
 
 def test_derive_seed_stable_and_distinct():

@@ -4,6 +4,7 @@ from collections import Counter
 import pytest
 
 from oracles import child_elements, random_literal_step, reference_literal_predicates
+from wrapsmith.dataset import from_record, to_record
 from wrapsmith.dom import measure, parse_html
 from wrapsmith.executor import (
     ActionSequence,
@@ -142,14 +143,14 @@ class TestSerialization:
         import json
 
         sequence = seq("//div[@class='x']", "//p/text()")
-        record = json.dumps(sequence.to_record(), sort_keys=True)
-        rebuilt = ActionSequence.from_record(json.loads(record))
+        record = json.dumps(to_record(sequence), sort_keys=True)
+        rebuilt = from_record(ActionSequence, json.loads(record))
         assert rebuilt == sequence
-        assert json.dumps(rebuilt.to_record(), sort_keys=True) == record
+        assert json.dumps(to_record(rebuilt), sort_keys=True) == record
 
     def test_unicode_steps_survive(self):
         sequence = seq("//b[contains(text(),'身長')]")
-        rebuilt = ActionSequence.from_record(sequence.to_record())
+        rebuilt = from_record(ActionSequence, to_record(sequence))
         assert rebuilt.steps == sequence.steps
 
 

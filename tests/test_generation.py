@@ -6,6 +6,7 @@ import pytest
 
 from conftest import json_answer, make_gateway
 from oracles import elements, random_page_html, random_simple_xpath, reference_step_back
+from wrapsmith.dataset import from_record, to_record
 from wrapsmith.dom import measure, parse_html
 from wrapsmith.executor import extract
 from wrapsmith.gateway import JudgeMode
@@ -245,7 +246,7 @@ def test_step_back_matches_the_by_string_reference(mode):
         stepbacks += decision.startswith("stepback")
         assert got_base == base, case
         assert got_tree.to_html() == pruned.to_html(), case
-        assert [e.to_record() for e in got_exchanges] == [e.to_record() for e in exchanges], case
+        assert to_record(got_exchanges) == to_record(exchanges), case
     assert compared > 1000 and stepbacks > 400
 
 
@@ -381,9 +382,9 @@ class TestTraces:
     def test_round_trip(self, player_page):
         gateway = make_gateway(self.staged_transport)
         _, trace = generate(player_page, "height", gateway, progressive_cfg())
-        record = trace.to_record()
-        rebuilt = GenerationTrace.from_record(json.loads(json.dumps(record)))
-        assert rebuilt.to_record() == record
+        record = to_record(trace)
+        rebuilt = from_record(GenerationTrace, json.loads(json.dumps(record)))
+        assert to_record(rebuilt) == record
 
     def test_identical_inputs_identical_traces(self, player_page):
         def run():
@@ -391,7 +392,7 @@ class TestTraces:
             _, trace = generate(
                 player_page, "height", gateway, progressive_cfg()
             )
-            return json.dumps(trace.to_record(), sort_keys=True)
+            return json.dumps(to_record(trace), sort_keys=True)
 
         assert run() == run()
 

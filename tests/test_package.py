@@ -57,6 +57,19 @@ def test_only_dom_links_nodes():
     assert linking == []
 
 
+def test_no_class_writes_or_reads_its_own_record():
+    # One codec in ``dataset`` reads and writes every artifact.
+    methods = [
+        f"{path.name}: {cls.name}.{node.name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef) and node.name in ("to_record", "from_record")
+    ]
+    assert methods == []
+
+
 def test_every_top_level_name_is_used_outside_the_tests():
     # A function or class that only the tests name is dead code kept alive
     # by its tests: the package itself or the benchmark must name it too.
