@@ -12,13 +12,14 @@ import argparse
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence
 
 from . import analysis, fixtures
 from .dataset import (
+    OPTIONAL,
     CorpusManifest,
     DatasetError,
     PageRecord,
@@ -33,7 +34,7 @@ from .dataset import (
 )
 from .dom import DocumentTree, DomError, parse_html
 from .dom import preprocess  # noqa: F401 - the benchmark's tracer test looks it up here
-from .evaluation import aggregate, classify_case
+from .evaluation import Label, aggregate, classify_case
 from .executor import ActionSequence, ExecutionError, ExtractionResult, ExtractionStatus, extract
 from .gateway import BackendConfig, GatewayError, JudgeMode, LlmGateway
 from .generation import GenerationTrace, Strategy, StrategyConfig, generate
@@ -61,12 +62,23 @@ def _error_record(kind: str, detail: str) -> None:
     print(json.dumps({"error": kind, "detail": detail}), file=sys.stderr)
 
 
-def _load_meta(directory: Path) -> tuple[dict, Path]:
+@dataclass(frozen=True)
+class StageMeta:
+    """A stage directory's ``_meta.json``: the corpus root, and the sample
+    size and seed ``prepare`` drew the cases with."""
+
+    corpus_root: str
+    sample: Optional[int] = field(default=None, metadata=OPTIONAL)
+    seed: Optional[int] = field(default=None, metadata=OPTIONAL)
+
+
+def _load_meta(directory: Path) -> tuple[StageMeta, Path]:
     """A stage directory's ``_meta.json`` record and the corpus root it names."""
     meta_path = directory / "_meta.json"
     if not meta_path.exists():
         raise DatasetError(f"missing _meta.json in {directory}")
-    return read_record(meta_path, lambda meta: (meta, Path(meta["corpus_root"])))
+    meta = read_record(meta_path, partial(from_record, StageMeta))
+    return meta, Path(meta.corpus_root)
 
 
 def _case_files(directory: Path) -> list[Path]:
@@ -196,14 +208,8 @@ def cmd_prepare(args: argparse.Namespace) -> int:
     cases = build_cases(manifest, sample_n=args.sample, rng_seed=args.seed)
     for case in cases:
         dump_json(to_record(case), out / f"{case.case_id}.json")
-    dump_json(
-        {
-            "corpus_root": str(manifest.root.resolve()),
-            "sample": args.sample,
-            "seed": args.seed,
-        },
-        out / "_meta.json",
-    )
+    meta = StageMeta(str(manifest.root.resolve()), args.sample, args.seed)
+    dump_json(to_record(meta), out / "_meta.json")
     print(f"prepared {len(cases)} case(s) in {out}")
     return 0
 
@@ -261,7 +267,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
     # Every case is tried, so a rerun resumes from the checkpoints.
     failure = _walk_websites(corpus_root, websites.values(), args.jobs)
-    dump_json(meta, out / "_meta.json")
+    dump_json(to_record(meta), out / "_meta.json")
     if failure is not None:
         raise failure
     planned = sum(map(len, websites.values()))
@@ -312,7 +318,7 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
     # Candidates files do not name their website, but a page's (html_path,
     # page_id) is unique in a corpus, so every case goes in one group.
     failure = _walk_websites(corpus_root, [walks], 1)
-    dump_json(meta, out / "_meta.json")
+    dump_json(to_record(meta), out / "_meta.json")
     if failure is not None:
         raise failure
     print(f"synthesized {len(walks)} case(s)")
@@ -352,7 +358,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         )
 
     _walk_websites(corpus_root, websites.values(), args.jobs)
-    dump_json(meta, out / "_meta.json")
+    dump_json(to_record(meta), out / "_meta.json")
     print(f"ran sequences for {len(files)} case(s)")
     return 0
 
@@ -377,8 +383,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
     Path(args.out).write_text(table, encoding="utf-8")
     if args.per_case:
         dump_json(to_record(outcomes), args.per_case)
-    from .evaluation import Label
-
     print(
         f"cases={report.total} "
         f"Correct={100 * report.ratios[Label.CORRECT]:.2f}% "
@@ -575,7 +579,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         TooFewPages,
         NoCandidates,
         FileNotFoundError,
-        json.JSONDecodeError,
         ValueError,
         RecursionError,  # e.g. a JSON record nested deeper than the decoder follows
     ) as exc:

@@ -1,5 +1,5 @@
 """Corpus loading: manifests, gold labels, page sampling, case files, and
-the record codec that writes and reads every artifact.
+the record codec that writes every artifact and reads every input file.
 
 A corpus is a directory of HTML files described by a JSON manifest. Each
 (website, attribute) pair becomes one test case: up to ``sample_n`` pages
@@ -15,7 +15,7 @@ import hashlib
 import json
 import os
 import random
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from enum import Enum
 from functools import cache, partial
 from operator import attrgetter
@@ -39,8 +39,15 @@ class MissingTemplate(DatasetError):
 
 
 class SchemaViolation(DatasetError):
-    """A case or manifest record does not match the expected schema."""
+    """A file is not JSON, or a manifest's page file is missing or altered."""
 
+
+#: Field metadata for the record codec below. An ``OPTIONAL`` field is left
+#: out of its record when it is ``None``, and a missing key reads as the
+#: field's default. A ``TRANSIENT`` field is never written and always reads
+#: as its default.
+OPTIONAL = {"record": "optional"}
+TRANSIENT = {"record": "transient"}
 
 #: Built-in instruction templates per domain: preamble plus one prompt per
 #: attribute. Manifests may override or extend these.
@@ -144,57 +151,49 @@ class WebpageCase:
         return tuple(p.page_id for p in self.pages)
 
 
-@dataclass
+#: Gold labels of a website: attribute -> page id -> values.
+GoldTable = dict[str, dict[str, tuple[str, ...]]]
+
+
+@dataclass(frozen=True)
 class WebsiteEntry:
-    pages: dict[str, str]  # page id -> html path relative to root
-    gold: dict[str, dict[str, list[str]]]  # attribute -> page id -> values
+    pages: dict[str, str] = field(default_factory=dict, metadata=OPTIONAL)  # id -> path
+    # The table, or the path of a JSON file holding it, relative to the root.
+    gold: str | GoldTable = field(default_factory=dict, metadata=OPTIONAL)
 
 
-@dataclass
+@dataclass(frozen=True)
+class DomainEntry:
+    websites: dict[str, WebsiteEntry] = field(default_factory=dict, metadata=OPTIONAL)
+    # Override or extend the built-in instruction template of the domain.
+    preamble: str = field(default="", metadata=OPTIONAL)
+    attributes: dict[str, str] = field(default_factory=dict, metadata=OPTIONAL)
+
+
+@dataclass(frozen=True)
 class CorpusManifest:
-    root: Path
-    domains: dict[str, dict[str, WebsiteEntry]]  # domain -> website -> entry
-    preambles: dict[str, str]
-    prompts: dict[str, dict[str, str]]
-    checksums: dict[str, str]
+    domains: dict[str, DomainEntry]
+    checksums: dict[str, str] = field(default_factory=dict, metadata=OPTIONAL)
+    root: Path = field(default=Path(), metadata=TRANSIENT)
 
     @classmethod
     def load(cls, path: str | Path) -> "CorpusManifest":
         path = Path(path)
-        try:
-            raw = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise SchemaViolation(f"manifest is not valid JSON: {exc}") from exc
-        if "domains" not in raw or not isinstance(raw["domains"], dict):
-            raise SchemaViolation("manifest must carry a 'domains' object")
-        root = path.parent
-        domains: dict[str, dict[str, WebsiteEntry]] = {}
-        preambles: dict[str, str] = {}
-        prompts: dict[str, dict[str, str]] = {}
-        checksums: dict[str, str] = raw.get("checksums", {})
-        for domain, spec in raw["domains"].items():
-            if "preamble" in spec:
-                preambles[domain] = spec["preamble"]
-            if "attributes" in spec:
-                prompts[domain] = dict(spec["attributes"])
-            websites: dict[str, WebsiteEntry] = {}
-            for website, wspec in spec.get("websites", {}).items():
-                pages = dict(wspec.get("pages", {}))
-                gold = wspec.get("gold", {})
-                if isinstance(gold, str):
-                    gold_path = root / gold
+        manifest = replace(read_record(path, partial(from_record, cls)), root=path.parent)
+        for domain in manifest.domains.values():
+            for website, entry in domain.websites.items():
+                if isinstance(entry.gold, str):
+                    gold_path = manifest.root / entry.gold
                     if not gold_path.exists():
                         raise MissingGold(f"gold file {gold_path} does not exist")
-                    gold = json.loads(gold_path.read_text(encoding="utf-8"))
-                websites[website] = WebsiteEntry(pages=pages, gold=gold)
-            domains[domain] = websites
-        manifest = cls(root, domains, preambles, prompts, checksums)
+                    gold = read_record(gold_path, partial(from_record, GoldTable))
+                    domain.websites[website] = replace(entry, gold=gold)
         manifest.verify_files()
         return manifest
 
     def verify_files(self) -> None:
-        for domain, websites in self.domains.items():
-            for website, entry in websites.items():
+        for domain, spec in self.domains.items():
+            for website, entry in spec.websites.items():
                 for page_id, rel in entry.pages.items():
                     full = self.root / rel
                     if not full.exists():
@@ -207,11 +206,10 @@ class CorpusManifest:
                             raise SchemaViolation(f"checksum mismatch for {rel}")
 
     def instruction_for(self, domain: str, attribute: str) -> str:
-        builtin = INSTRUCTIONS.get(domain)
-        preamble = self.preambles.get(domain) or (builtin[0] if builtin else None)
-        prompt = (self.prompts.get(domain) or {}).get(attribute)
-        if prompt is None and builtin:
-            prompt = builtin[1].get(attribute)
+        spec = self.domains.get(domain, DomainEntry())
+        builtin_preamble, builtin_prompts = INSTRUCTIONS.get(domain, ("", {}))
+        preamble = spec.preamble or builtin_preamble
+        prompt = spec.attributes.get(attribute, builtin_prompts.get(attribute))
         if not preamble or not prompt:
             raise MissingTemplate(f"no instruction template for {domain}/{attribute}")
         return f"{preamble} {prompt}"
@@ -233,26 +231,24 @@ def build_cases(
     """One case per (website, attribute); page samples shared per website."""
     cases: list[WebpageCase] = []
     for domain in sorted(manifest.domains):
-        websites = manifest.domains[domain]
+        websites = manifest.domains[domain].websites
         for website in sorted(websites):
             entry = websites[website]
             page_ids = sorted(entry.pages)
             take = min(sample_n, len(page_ids))
             rng = random.Random(derive_seed(rng_seed, domain, website))
             sampled = sorted(rng.sample(page_ids, take))
-            attributes = sorted(entry.gold) or []
+            attributes = sorted(entry.gold)
             if not attributes:
                 raise MissingGold(f"no gold tables for {domain}/{website}")
             for attribute in attributes:
                 instruction = manifest.instruction_for(domain, attribute)
-                table = entry.gold.get(attribute)
-                if table is None:
-                    raise MissingGold(f"no gold for {domain}/{website}/{attribute}")
+                table = entry.gold[attribute]
                 pages = tuple(
                     PageRecord(
                         page_id=pid,
                         html_path=entry.pages[pid],
-                        gold=tuple(normalize_escapes(v) for v in table.get(pid, [])),
+                        gold=tuple(normalize_escapes(v) for v in table.get(pid, ())),
                     )
                     for pid in sampled
                 )
@@ -278,20 +274,17 @@ T = TypeVar("T")
 
 
 # --------------------------------------------------------------------------
-# Record codec: every artifact is a dataclass, written as the JSON object of
-# its fields and read back against its type hints. Each type's encoder and
-# decoder is built once, on first use, and cached.
+# Record codec: every artifact and input file is a dataclass, written as the
+# JSON object of its fields and read back against its type hints. Each type's
+# encoder and decoder is built once, on first use, and cached.
 # --------------------------------------------------------------------------
-
-#: Field metadata. An ``OPTIONAL`` field is left out of its record when it
-#: is ``None``, and a missing key reads as ``None``. A ``TRANSIENT`` field is
-#: never written and always reads as its default.
-OPTIONAL = {"record": "optional"}
-TRANSIENT = {"record": "transient"}
 
 #: The JSON types a scalar field takes: a float field takes an integer too,
 #: and a bare ``dict`` is free-form JSON.
-_KINDS = {str: (str,), int: (int,), float: (float, int), bool: (bool,), dict: (dict,), list: (list,)}
+_KINDS = {
+    str: (str,), int: (int,), float: (float, int), bool: (bool,), dict: (dict,), list: (list,),
+    type(None): (type(None),),
+}
 
 
 def _recorded_fields(cls: type) -> list[tuple[str, bool]]:
@@ -350,9 +343,12 @@ def _checked(kind: type, value: Any, path: str) -> Any:
 @cache
 def _decoder(hint: Any) -> Callable[[Any, str], Any]:
     origin, args = get_origin(hint), get_args(hint)
-    if origin in (Union, UnionType):  # Optional[T]: the only union a record holds
-        inner = _decoder(next(arg for arg in args if arg is not type(None)))
-        return lambda value, path: None if value is None else inner(value, path)
+    if origin in (Union, UnionType):  # Optional[T] or str | dict[...]
+        # The value's JSON type picks the arm; any other value goes to the
+        # first arm that is not None, which reports the mismatch.
+        arms = {get_origin(arg) or arg: _decoder(arg) for arg in args}
+        first = _decoder(next(arg for arg in args if arg is not type(None)))
+        return lambda value, path: arms.get(type(value), first)(value, path)
     if origin is tuple:
         item = _decoder(args[0])
         return lambda value, path: tuple(
@@ -399,8 +395,12 @@ def _enum(cls: type[Enum]) -> Callable[[Any, str], Enum]:
 
 
 def read_record(path: str | Path, decode: Callable[[Any], T]) -> T:
-    """Read a JSON file and decode it; a missing or ill-typed field is a data error."""
-    record = json.loads(Path(path).read_text(encoding="utf-8"))
+    """Read a JSON file and decode it; text that is not JSON, or a missing or
+    ill-typed field, is a data error."""
+    try:
+        record = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise SchemaViolation(f"{path} is not valid JSON: {exc}") from exc
     try:
         return decode(record)
     except (KeyError, TypeError, AttributeError) as exc:
@@ -408,7 +408,4 @@ def read_record(path: str | Path, decode: Callable[[Any], T]) -> T:
 
 
 def load_case(path: str | Path) -> WebpageCase:
-    try:
-        return read_record(path, partial(from_record, WebpageCase))
-    except json.JSONDecodeError as exc:
-        raise SchemaViolation(f"case file is not valid JSON: {exc}") from exc
+    return read_record(path, partial(from_record, WebpageCase))

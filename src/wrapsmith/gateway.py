@@ -25,13 +25,14 @@ import time
 import urllib.error
 import urllib.request
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import partial
 from hashlib import sha256
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence
 
-from .dataset import TRANSIENT, dump_json, read_record
+from .dataset import OPTIONAL, TRANSIENT, dump_json, from_record, read_record, to_record
 from .dom import DocumentTree
 from .executor import normalize_value, normalize_values
 from .prompts import render_prompt
@@ -65,16 +66,16 @@ class BackendKind(str, Enum):
     SCRIPTED = "scripted"
 
 
-@dataclass
+@dataclass(frozen=True)
 class BackendConfig:
-    kind: BackendKind = BackendKind.SCRIPTED
-    endpoint: str = ""
-    credential_env: str = ""
-    model: str = ""
-    timeout_s: float = 30.0
-    max_retries: int = 2
-    rate_limit_per_minute: int = 0  # 0 disables limiting
-    script_path: Optional[str] = None
+    kind: BackendKind = field(default=BackendKind.SCRIPTED, metadata=OPTIONAL)
+    endpoint: str = field(default="", metadata=OPTIONAL)
+    credential_env: str = field(default="", metadata=OPTIONAL)
+    model: str = field(default="", metadata=OPTIONAL)
+    timeout_s: float = field(default=30.0, metadata=OPTIONAL)
+    max_retries: int = field(default=2, metadata=OPTIONAL)
+    rate_limit_per_minute: int = field(default=0, metadata=OPTIONAL)  # 0: no limit
+    script_path: Optional[str] = field(default=None, metadata=OPTIONAL)
 
     def validate(self) -> None:
         if self.kind is BackendKind.HTTP:
@@ -85,25 +86,11 @@ class BackendConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "BackendConfig":
-        """Read a backend config; an ill-typed field is a data error."""
-        path = Path(path)
-
-        def decode(raw: dict) -> "BackendConfig":
-            script_path = raw.get("script_path")
-            if script_path is not None:
-                script_path = str((path.parent / script_path).resolve())
-            return cls(
-                kind=BackendKind(raw.get("kind", "scripted")),
-                endpoint=raw.get("endpoint", ""),
-                credential_env=raw.get("credential_env", ""),
-                model=raw.get("model", ""),
-                timeout_s=float(raw.get("timeout_s", 30.0)),
-                max_retries=int(raw.get("max_retries", 2)),
-                rate_limit_per_minute=int(raw.get("rate_limit_per_minute", 0)),
-                script_path=script_path,
-            )
-
-        config = read_record(path, decode)
+        """Read a backend config; ``script_path`` is relative to its file."""
+        config = read_record(path, partial(from_record, cls))
+        if config.script_path is not None:
+            script_path = (Path(path).parent / config.script_path).resolve()
+            config = replace(config, script_path=str(script_path))
         config.validate()
         return config
 
@@ -229,18 +216,18 @@ class _RateLimiter:
             self._sleep(max(wait, 0.001))
 
 
+@dataclass(frozen=True)
 class ScriptTable:
     """Canned responses keyed by prompt fingerprint."""
 
-    def __init__(self, entries: Optional[dict[str, str]] = None) -> None:
-        self.entries: dict[str, str] = dict(entries or {})
+    entries: dict[str, str] = field(default_factory=dict, metadata=OPTIONAL)
 
     @classmethod
     def load(cls, path: str | Path) -> "ScriptTable":
-        return read_record(path, lambda raw: cls(raw.get("entries", {})))
+        return read_record(path, partial(from_record, cls))
 
     def save(self, path: str | Path) -> None:
-        dump_json({"entries": self.entries}, path)
+        dump_json(to_record(self), path)
 
     def lookup(self, fingerprint: str) -> Optional[str]:
         return self.entries.get(fingerprint)
@@ -308,6 +295,8 @@ class LlmGateway:
         try:
             with urllib.request.urlopen(request, timeout=self.config.timeout_s) as resp:
                 payload = json.loads(resp.read().decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise GatewayError(f"backend reply is not JSON: {exc}") from exc
         except urllib.error.HTTPError as exc:
             if exc.code in (401, 403):
                 raise AuthFailure(f"backend rejected credentials ({exc.code})") from exc

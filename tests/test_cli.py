@@ -1,5 +1,7 @@
 import gc
+import io
 import json
+import urllib.request
 from functools import partial
 
 import pytest
@@ -740,12 +742,20 @@ class TestMalformedInputs:
         error = json.loads(capsys.readouterr().err.strip())
         assert error["error"] == "DatasetError"
 
-    @pytest.mark.parametrize("backend, script", [
-        ([], None),
-        ({"timeout_s": None}, None),
-        ({"kind": "scripted", "script_path": "script.json"}, []),
+    @pytest.mark.parametrize("backend, script, field", [
+        ([], None, "record"),
+        ({"timeout_s": None}, None, "timeout_s"),
+        ({"kind": "scripted", "script_path": "script.json"}, [], "record"),
+        ({"max_retries": "2"}, None, "max_retries"),
+        ({"kind": 5}, None, "kind"),
+        ({"kind": "scripted", "script_path": "script.json"}, {"entries": {"f": {"x": 1}}},
+         "entries.f"),
     ])
-    def test_malformed_backend_or_script_is_data_error(self, tmp_path, capsys, backend, script):
+    def test_malformed_backend_or_script_is_data_error(
+        self, tmp_path, capsys, backend, script, field
+    ):
+        # Numbers written as strings are not coerced: every field is checked
+        # against its type, and the error names the field's path.
         cases = tmp_path / "cases"
         cases.mkdir()
         dump_json({"corpus_root": str(tmp_path)}, cases / "_meta.json")
@@ -756,6 +766,50 @@ class TestMalformedInputs:
                        "--out", tmp_path / "out") == 3
         error = json.loads(capsys.readouterr().err.strip())
         assert error["error"] == "DatasetError"
+        assert f"{field}:" in error["detail"]
+
+    @pytest.mark.parametrize("change, field", [
+        ({"pages": 5}, "domains.nbaplayer.websites.s.pages"),
+        ({"pages": {"p0": 5}}, "domains.nbaplayer.websites.s.pages.p0"),
+        ({"gold": {"height": {"p0": "6-9"}}}, "domains.nbaplayer.websites.s.gold.height.p0"),
+        ({"gold": {"height": None}}, "domains.nbaplayer.websites.s.gold.height"),
+        ({"preamble": ["x"]}, "domains.nbaplayer.preamble"),
+        ({"attributes": {"height": 5}}, "domains.nbaplayer.attributes.height"),
+        ({"gold": "gold.json"}, "height.p0"),
+    ])
+    def test_malformed_manifest_is_data_error(self, tmp_path, capsys, change, field):
+        # One ill-typed field of the manifest or of the gold file it names;
+        # a gold string is rejected, not split into one label per character.
+        (tmp_path / "p0.html").write_text("<p>6-9</p>", encoding="utf-8")
+        (tmp_path / "gold.json").write_text('{"height": {"p0": "6-9"}}', encoding="utf-8")
+        website = {"pages": {"p0": "p0.html"}, "gold": {"height": {"p0": ["6-9"]}}}
+        domain = {"websites": {"s": website}}
+        manifest = tmp_path / "manifest.json"
+        dump_json({"domains": {"nbaplayer": domain}}, manifest)
+        assert run_cli("prepare", "--manifest", manifest, "--out", tmp_path / "cases") == 0
+        (website if "pages" in change or "gold" in change else domain).update(change)
+        dump_json({"domains": {"nbaplayer": domain}}, manifest)
+        capsys.readouterr()
+        assert run_cli("prepare", "--manifest", manifest, "--out", tmp_path / "cases") == 3
+        error = json.loads(capsys.readouterr().err.strip())
+        assert error["error"] == "DatasetError"
+        assert f"{field}:" in error["detail"]
+
+    @pytest.mark.parametrize("body", [b"<html>bad gateway</html>", b"\xff\xfe"])
+    def test_http_reply_that_is_not_json_is_backend_error(
+        self, tmp_path, capsys, monkeypatch, body
+    ):
+        _, cases, _ = write_case(tmp_path, ["p1", "p2", "p3"])
+        backend = tmp_path / "backend.json"
+        dump_json({"kind": "http", "endpoint": "http://127.0.0.1:9/x",
+                   "credential_env": "WRAPSMITH_KEY"}, backend)
+        monkeypatch.setenv("WRAPSMITH_KEY", "k")
+        monkeypatch.setattr(urllib.request, "urlopen", lambda *args, **kwargs: io.BytesIO(body))
+        assert run_cli("generate", "--cases", cases, "--backend", backend,
+                       "--out", tmp_path / "out") == 2
+        error = json.loads(capsys.readouterr().err.strip())
+        assert error["error"] == "GatewayError"
+        assert "not JSON" in error["detail"]
 
     def test_deeply_nested_record_is_data_error(self, tmp_path, capsys):
         trace = tmp_path / "t.json"

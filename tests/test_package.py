@@ -70,6 +70,31 @@ def test_no_class_writes_or_reads_its_own_record():
     assert methods == []
 
 
+def test_only_the_codec_and_model_replies_parse_json():
+    # Every file is read by ``dataset.read_record``; the gateway parses only
+    # what the model and the HTTP backend send back.
+    allowed = {("dataset.py", "read_record"), ("gateway.py", "extract_json_object"),
+               ("gateway.py", "_send_http")}
+
+    def json_loads(tree):
+        return {
+            node for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("load", "loads")
+            and isinstance(node.func.value, ast.Name) and node.func.value.id == "json"
+        }
+
+    stray = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        permitted = set().union(*(
+            json_loads(function) for function in ast.walk(tree)
+            if isinstance(function, ast.FunctionDef) and (path.name, function.name) in allowed
+        ))
+        stray += [f"{path.name}:{call.lineno}" for call in json_loads(tree) - permitted]
+    assert sorted(stray) == []
+
+
 def test_every_top_level_name_is_used_outside_the_tests():
     # A function or class that only the tests name is dead code kept alive
     # by its tests: the package itself or the benchmark must name it too.
