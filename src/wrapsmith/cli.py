@@ -578,7 +578,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         ExecutionError,
         TooFewPages,
         NoCandidates,
-        FileNotFoundError,
+        OSError,  # a missing file, or a directory where a file should be
         ValueError,
         RecursionError,  # e.g. a JSON record nested deeper than the decoder follows
     ) as exc:

@@ -395,15 +395,15 @@ def _enum(cls: type[Enum]) -> Callable[[Any, str], Enum]:
 
 
 def read_record(path: str | Path, decode: Callable[[Any], T]) -> T:
-    """Read a JSON file and decode it; text that is not JSON, or a missing or
-    ill-typed field, is a data error."""
+    """Read a JSON file and decode it; text that is not JSON, or a missing,
+    ill-typed or out-of-range field, is a data error."""
     try:
         record = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise SchemaViolation(f"{path} is not valid JSON: {exc}") from exc
     try:
         return decode(record)
-    except (KeyError, TypeError, AttributeError) as exc:
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
         raise DatasetError(f"malformed record {path}: {type(exc).__name__}: {exc}") from exc
 
 

@@ -4,15 +4,16 @@ Pages arrive as messy real-world HTML, so parsing is forgiving: unclosed
 tags, stray end tags and character references are all absorbed. Parsing
 also cleans, in the same pass: ``script``/``style`` subtrees, comments,
 declarations and every attribute except ``class`` never enter the tree, so
-each page is built and frozen once. The result is an immutable tree that
-downstream stages can share freely across threads, and a pruned tree is a
-view that shares its page's nodes. Nodes link only to their children; a
-page's ``parents`` table links them back, so a page holds no reference
-cycle and is freed as soon as it is dropped. Size metrics (token count,
-tree height) are taken over the serialization's parts, in which each tag is
-its own whitespace-delimited token, which keeps both measures monotone under
-pruning. Every walk over a tree uses an explicit stack, so no nesting depth
-reaches the interpreter's recursion limit.
+each page is built and frozen once. An element keeps its first ``class``, as
+a browser does, so the prompt shows the same class that XPath sees. The
+result is an immutable tree that downstream stages can share freely across
+threads, and a pruned tree is a view that shares its page's nodes. Nodes
+link only to their children; a page's ``parents`` table links them back, so
+a page holds no reference cycle and is freed as soon as it is dropped. Size
+metrics (token count, tree height) are taken over the serialization's parts,
+in which each tag is its own whitespace-delimited token, which keeps both
+measures monotone under pruning. Every walk over a tree uses an explicit
+stack, so no nesting depth reaches the interpreter's recursion limit.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ class TextNode:
     """A run of character data inside an element."""
 
     __slots__ = ("text", "order")
+    children: tuple = ()
 
     def __init__(self, text: str) -> None:
         self.text = text
@@ -62,34 +64,25 @@ class TextNode:
 
 
 class ElementNode:
-    """An element with ordered children and an attribute list.
+    """An element with ordered children and its ``class`` attribute
+    (``None`` when the tag has none).
 
     Nodes are frozen once, when their page's :class:`DocumentTree` is built,
     and pruned views share them.
     """
 
-    __slots__ = ("tag", "attrs", "children", "order")
+    __slots__ = ("tag", "class_attr", "children", "order")
 
     def __init__(
         self,
         tag: str,
-        attrs: tuple[tuple[str, str], ...] = (),
+        class_attr: Optional[str] = None,
         children: tuple["Node", ...] = (),
     ) -> None:
         self.tag = tag
-        self.attrs = tuple(attrs)
+        self.class_attr = class_attr
         self.children = tuple(children)
         self.order = -1
-
-    def get(self, name: str) -> Optional[str]:
-        for key, value in self.attrs:
-            if key == name:
-                return value
-        return None
-
-    @property
-    def class_attr(self) -> Optional[str]:
-        return self.get(KEEP_ATTR)
 
     def text_content(self) -> str:
         """Concatenated character data of the whole subtree, in order."""
@@ -105,7 +98,7 @@ class ElementNode:
         while stack:
             node = stack.pop()
             yield node
-            if isinstance(node, ElementNode):
+            if node.children:
                 stack.extend(reversed(node.children))
 
     def __repr__(self) -> str:
@@ -175,22 +168,15 @@ def _freeze(root: ElementNode) -> list[Optional[ElementNode]]:
         node, parent = stack.pop()
         node.order = len(parents)
         parents.append(parent)
-        if isinstance(node, ElementNode):
+        if node.children:
             stack.extend((child, node) for child in reversed(node.children))
     return parents
 
 
-def _escape_text(text: str) -> str:
-    return _htmllib.escape(text, quote=False)
-
-
-def _escape_attr(value: str) -> str:
-    return _htmllib.escape(value, quote=True)
-
-
 def _open_tag(el: ElementNode) -> str:
-    attrs = "".join(f' {k}="{_escape_attr(v)}"' for k, v in el.attrs)
-    return f"<{el.tag}{attrs}>"
+    if el.class_attr is None:
+        return f"<{el.tag}>"
+    return f'<{el.tag} {KEEP_ATTR}="{_htmllib.escape(el.class_attr)}">'
 
 
 def _render(root: ElementNode) -> tuple[str, TreeMetrics]:
@@ -204,7 +190,7 @@ def _render(root: ElementNode) -> tuple[str, TreeMetrics]:
             parts.append(node)
             depth -= 1
         elif isinstance(node, TextNode):
-            parts.append(_escape_text(node.text))
+            parts.append(_htmllib.escape(node.text, quote=False))
         else:
             parts.append(_open_tag(node))
             height = max(height, depth + 1)
@@ -230,34 +216,28 @@ def normalize_escapes(value: str) -> str:
     return _htmllib.unescape(value)
 
 
-def _class_pairs(attrs) -> tuple[tuple[str, str], ...]:
-    """A start tag's ``class`` attributes, in order, duplicates kept;
-    ``html.parser`` has already lowercased the names."""
-    return tuple((k, v or "") for k, v in attrs if k == KEEP_ATTR)
-
-
 class _TreeBuilder(HTMLParser):
     """Tolerant, cleaning tree builder: auto-closes at EOF, absorbs stray end
     tags, closes mis-nested elements up to the nearest matching open tag.
     Comments and declarations fall through to the base class's no-op
-    handlers."""
+    handlers, and a self-closing tag to its start-then-end default."""
 
     def __init__(self) -> None:
         super().__init__(convert_charrefs=True)
         # Sentinel frame collects finished top-level nodes.
-        self._stack: list[list] = [["", (), []]]
+        self._stack: list[list] = [["", None, []]]
         #: Top-level script/style elements dropped; they count for the root choice.
         self.dropped_top = 0
 
     def handle_starttag(self, tag: str, attrs) -> None:
+        # The first ``class`` wins, as in a browser; ``html.parser`` has
+        # already lowercased the names.
         tag = tag.lower()
+        class_attr = next((v or "" for k, v in attrs if k == KEEP_ATTR), None)
         if tag in VOID_TAGS:
-            self._append(tag, _class_pairs(attrs), ())
+            self._append(tag, class_attr, ())
         else:
-            self._stack.append([tag, _class_pairs(attrs), []])
-
-    def handle_startendtag(self, tag: str, attrs) -> None:
-        self._append(tag.lower(), _class_pairs(attrs), ())
+            self._stack.append([tag, class_attr, []])
 
     def handle_endtag(self, tag: str) -> None:
         tag = tag.lower()
@@ -277,10 +257,10 @@ class _TreeBuilder(HTMLParser):
     def _close_top(self) -> None:
         self._append(*self._stack.pop())
 
-    def _append(self, tag: str, attrs: tuple, children) -> None:
+    def _append(self, tag: str, class_attr: Optional[str], children) -> None:
         """Add a finished element to the open one, unless it is a script/style."""
         if tag not in STRIP_TAGS:
-            self._stack[-1][2].append(ElementNode(tag, attrs, children))
+            self._stack[-1][2].append(ElementNode(tag, class_attr, children))
         elif len(self._stack) == 1:
             self.dropped_top += 1
 
@@ -315,7 +295,7 @@ def parse_html(raw: str, source_id: str = "") -> DocumentTree:
     if len(elements) + builder.dropped_top == 1 and not loose_text:
         root = elements[0] if elements else ElementNode("html")
     else:
-        root = ElementNode("html", (), tuple(top))
+        root = ElementNode("html", None, tuple(top))
     return DocumentTree.from_root(root, source_id)
 
 

@@ -77,21 +77,27 @@ class BackendConfig:
     rate_limit_per_minute: int = field(default=0, metadata=OPTIONAL)  # 0: no limit
     script_path: Optional[str] = field(default=None, metadata=OPTIONAL)
 
-    def validate(self) -> None:
+    def validate(self) -> "BackendConfig":
+        """Return this config, or raise ``ValueError`` naming the first field
+        that is out of range."""
         if self.kind is BackendKind.HTTP:
-            if not self.endpoint or not self.credential_env:
-                raise ValueError("http backend requires endpoint and credential_env")
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
+            for name in ("endpoint", "credential_env"):
+                if not getattr(self, name):
+                    raise ValueError(f"{name}: required by the http backend")
+        if self.timeout_s <= 0:
+            raise ValueError(f"timeout_s: must be > 0, got {self.timeout_s!r}")
+        for name in ("max_retries", "rate_limit_per_minute"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name}: must be >= 0, got {getattr(self, name)!r}")
+        return self
 
     @classmethod
     def from_file(cls, path: str | Path) -> "BackendConfig":
         """Read a backend config; ``script_path`` is relative to its file."""
-        config = read_record(path, partial(from_record, cls))
+        config = read_record(path, lambda record: from_record(cls, record).validate())
         if config.script_path is not None:
             script_path = (Path(path).parent / config.script_path).resolve()
             config = replace(config, script_path=str(script_path))
-        config.validate()
         return config
 
 
@@ -307,6 +313,8 @@ class LlmGateway:
             raise GatewayError(str(exc.reason)) from exc
         except TimeoutError as exc:
             raise BackendTimeout(str(exc)) from exc
+        except OSError as exc:  # e.g. the connection reset while reading the reply
+            raise GatewayError(str(exc)) from exc
         try:
             return payload["choices"][0]["message"]["content"]
         except (KeyError, IndexError, TypeError) as exc:

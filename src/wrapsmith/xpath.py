@@ -8,9 +8,10 @@ the ``contains`` / ``starts-with`` / ``not`` / ``position`` / ``last`` /
 ``count`` / ``string`` functions. String-manipulation functions such as
 ``substring()`` and ``normalize-space()`` are deliberately rejected.
 
-Node-sets keep document order and are duplicate-free. Comparisons follow
-XPath 1.0 semantics: a node-set compares existentially against the other
-operand via node string-values.
+Every node has ``children`` (empty for a leaf) and an ``order`` that is
+unique within its page, so a node-set is a set sorted by ``order``.
+Comparisons follow XPath 1.0 semantics: a node-set compares existentially
+against the other operand via node string-values.
 
 A step whose first predicate is a number, as in ``preceding-sibling::tr[1]``,
 stops scanning its axis at the k-th node that passes the node test (reverse
@@ -22,12 +23,13 @@ Any further predicates see that single node. Other steps, including
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, islice
+from operator import attrgetter
 from typing import Iterable, Iterator, Optional, Union
 
-from .dom import DocumentTree, ElementNode, Node, TextNode
+from .dom import KEEP_ATTR, DocumentTree, ElementNode, Node, TextNode
 
 
 class XPathSyntaxError(ValueError):
@@ -36,9 +38,11 @@ class XPathSyntaxError(ValueError):
 
 class DocumentNode:
     """Virtual node above the root element; target of ``/`` and root ``..``.
-    It carries the page's ``parents`` table, which the parent axes read."""
+    It carries the page's ``parents`` table, which the parent axes read, and
+    sorts before every node of the page."""
 
     __slots__ = ("root", "parents")
+    order = -1
 
     def __init__(self, tree: DocumentTree) -> None:
         self.root = tree.root
@@ -54,16 +58,24 @@ class DocumentNode:
 
 @dataclass(frozen=True)
 class AttributeValue:
-    """An attribute selected by the ``@`` axis.
+    """The ``class`` attribute of ``owner``, selected by the ``@`` axis.
 
-    Equality and hashing, and so node-set de-duplication, use ``(owner,
-    name)``: of two same-named attributes on one element only the first is
-    selected, as in a browser's DOM.
+    In document order an attribute comes right after its element and before
+    that element's children (XPath 1.0 §5), so it sorts at ``owner.order +
+    0.5``. Equality and hashing use the owner alone.
     """
 
     owner: ElementNode
-    name: str
-    value: str = field(compare=False)
+    name = KEEP_ATTR
+    children = ()
+
+    @property
+    def value(self) -> str:
+        return self.owner.class_attr
+
+    @property
+    def order(self) -> float:
+        return self.owner.order + 0.5
 
 
 XNode = Union[ElementNode, TextNode, DocumentNode, AttributeValue]
@@ -398,12 +410,7 @@ def parse_xpath(expression: str) -> UnionExpr:
 # Evaluation
 # --------------------------------------------------------------------------
 
-def _order_key(node: XNode) -> tuple:
-    if isinstance(node, DocumentNode):
-        return (-1, 0, "")
-    if isinstance(node, AttributeValue):
-        return (node.owner.order, 1, node.name)
-    return (node.order, 0, "")
+_order_key = attrgetter("order")
 
 
 def string_value(node: XNode) -> str:
@@ -465,27 +472,19 @@ def _parent_of(node: XNode, document: DocumentNode) -> Optional[XNode]:
     return document.parents[node.order]
 
 
-def _children_of(node: XNode) -> tuple[Node, ...]:
-    if isinstance(node, DocumentNode):
-        return node.children
-    if isinstance(node, ElementNode):
-        return node.children
-    return ()
-
-
 def _descendants(node: XNode) -> Iterator[Node]:
-    stack = list(reversed(_children_of(node)))
+    stack = list(reversed(node.children))
     while stack:
         item = stack.pop()
         yield item
-        if isinstance(item, ElementNode):
+        if item.children:
             stack.extend(reversed(item.children))
 
 
 def _axis_candidates(node: XNode, axis: str, document: DocumentNode) -> Iterable[XNode]:
     """The nodes on ``axis`` from ``node``, in axis order, produced lazily."""
     if axis == "child":
-        return _children_of(node)
+        return node.children
     if axis == "descendant":
         return _descendants(node)
     if axis == "descendant-or-self":
@@ -501,7 +500,7 @@ def _axis_candidates(node: XNode, axis: str, document: DocumentNode) -> Iterable
         parent = _parent_of(node, document)
         if parent is None or isinstance(node, AttributeValue):
             return ()
-        siblings = _children_of(parent)
+        siblings = parent.children
         try:
             idx = siblings.index(node)
         except ValueError:
@@ -510,8 +509,8 @@ def _axis_candidates(node: XNode, axis: str, document: DocumentNode) -> Iterable
             return islice(siblings, idx + 1, None)
         return islice(reversed(siblings), len(siblings) - idx, None)  # nearest first
     if axis == "attribute":
-        if isinstance(node, ElementNode):
-            return (AttributeValue(node, k, v) for k, v in node.attrs)
+        if isinstance(node, ElementNode) and node.class_attr is not None:
+            return (AttributeValue(node),)
         return ()
     raise XPathSyntaxError(f"unsupported axis {axis!r}")
 
@@ -543,8 +542,7 @@ def _test_matches(test: NodeTest, node: XNode, axis: str) -> bool:
 def _evaluate_step(
     nodes: list[XNode], step: Step, document: DocumentNode
 ) -> list[XNode]:
-    gathered: list[XNode] = []
-    seen: set[XNode] = set()
+    gathered: set[XNode] = set()
     predicates = step.predicates
     nth = None
     if predicates and isinstance(predicates[0], Number):
@@ -565,12 +563,8 @@ def _evaluate_step(
                 if _predicate_holds(predicate, ctx):
                     kept.append(candidate)
             candidates = kept
-        for candidate in candidates:
-            if candidate not in seen:
-                seen.add(candidate)
-                gathered.append(candidate)
-    gathered.sort(key=_order_key)
-    return gathered
+        gathered.update(candidates)
+    return sorted(gathered, key=_order_key)
 
 
 def _nth_candidate(
@@ -677,8 +671,7 @@ def _evaluate_function(expr: FuncCall, ctx: _Context):
 
 def _evaluate_paths(expr: Union[Path, UnionExpr], ctx: _Context) -> list[XNode]:
     paths = expr.paths if isinstance(expr, UnionExpr) else (expr,)
-    merged: list[XNode] = []
-    seen: set[XNode] = set()
+    merged: set[XNode] = set()
     for path in paths:
         start: XNode = ctx.document if path.absolute else ctx.node
         nodes: list[XNode] = [start]
@@ -686,12 +679,8 @@ def _evaluate_paths(expr: Union[Path, UnionExpr], ctx: _Context) -> list[XNode]:
             nodes = _evaluate_step(nodes, step, ctx.document)
             if not nodes:
                 break
-        for node in nodes:
-            if node not in seen:
-                seen.add(node)
-                merged.append(node)
-    merged.sort(key=_order_key)
-    return merged
+        merged.update(nodes)
+    return sorted(merged, key=_order_key)
 
 
 def evaluate(tree: DocumentTree, expression: str) -> list[XNode]:

@@ -6,8 +6,9 @@ and ``preprocess``'s ``rebuild``.
 
 The parse oracle is the tree builder the package used before it cleaned
 while parsing: it keeps comments, ``script``/``style`` subtrees and every
-attribute, and picks the root among all of them; ``reference_preprocess``
-then cleans that raw tree into fresh nodes.
+attribute (a :class:`RawElement` holds them all, duplicates included), and
+picks the root among all of them; ``reference_preprocess`` then cleans that
+raw tree into fresh nodes, each keeping the first ``class`` of its tag.
 
 The subtree oracle builds a pruned tree the way the package did before
 pruned trees became views of their page: fresh nodes, frozen anew.
@@ -83,7 +84,7 @@ def mirror_etree(
     et_order: dict[int, int] = {}
 
     def build(el: ElementNode) -> ET.Element:
-        node = ET.Element(el.tag, dict(el.attrs))
+        node = ET.Element(el.tag, dict(attribute_pairs(el)))
         lookup[id(el)] = node
         et_order[id(node)] = el.order
         last: ET.Element | None = None
@@ -190,7 +191,9 @@ def _reference_serialize(node, parts: list[str]) -> None:
     if isinstance(node, CommentNode):
         parts.append(f"<!--{node.text}-->")
         return
-    attrs = "".join(f' {k}="{htmllib.escape(v, quote=True)}"' for k, v in node.attrs)
+    attrs = "".join(
+        f' {k}="{htmllib.escape(v, quote=True)}"' for k, v in attribute_pairs(node)
+    )
     parts.append(f"<{node.tag}{attrs}>")
     for child in node.children:
         _reference_serialize(child, parts)
@@ -205,10 +208,30 @@ def _reference_height(el: ElementNode) -> int:
     return best + 1
 
 
+def attribute_pairs(el: ElementNode) -> tuple[tuple[str, str], ...]:
+    """Every attribute of a raw element; the one ``class`` of a parsed one."""
+    if isinstance(el, RawElement):
+        return el.attrs
+    return () if el.class_attr is None else ((KEEP_ATTR, el.class_attr),)
+
+
+class RawElement(ElementNode):
+    """An element of a raw tree. ``attrs`` keeps every attribute of its tag,
+    in order and duplicates included; ``class_attr`` stays ``None``, so only
+    ``reference_preprocess`` picks the class a cleaned element keeps."""
+
+    __slots__ = ("attrs",)
+
+    def __init__(self, tag: str, attrs=(), children=()) -> None:
+        super().__init__(tag, None, children)
+        self.attrs = tuple(attrs)
+
+
 class CommentNode:
     """An HTML comment of a raw tree."""
 
     __slots__ = ("text", "order")
+    children = ()
 
     def __init__(self, text: str) -> None:
         self.text = text
@@ -226,13 +249,13 @@ class _RawTreeBuilder(HTMLParser):
         tag = tag.lower()
         pairs = tuple((k.lower(), v if v is not None else "") for k, v in attrs)
         if tag in VOID_TAGS:
-            self._stack[-1][2].append(ElementNode(tag, pairs))
+            self._stack[-1][2].append(RawElement(tag, pairs))
         else:
             self._stack.append([tag, pairs, []])
 
     def handle_startendtag(self, tag, attrs):
         pairs = tuple((k.lower(), v if v is not None else "") for k, v in attrs)
-        self._stack[-1][2].append(ElementNode(tag.lower(), pairs))
+        self._stack[-1][2].append(RawElement(tag.lower(), pairs))
 
     def handle_endtag(self, tag):
         tag = tag.lower()
@@ -253,7 +276,7 @@ class _RawTreeBuilder(HTMLParser):
 
     def _close_top(self):
         tag, attrs, children = self._stack.pop()
-        self._stack[-1][2].append(ElementNode(tag, attrs, tuple(children)))
+        self._stack[-1][2].append(RawElement(tag, attrs, tuple(children)))
 
     def finish(self) -> list:
         while len(self._stack) > 1:
@@ -276,7 +299,7 @@ def reference_parse(raw: str, source_id: str = "") -> DocumentTree:
     loose_text = any(isinstance(n, TextNode) and n.text.strip() for n in top)
     if len(elements) == 1 and not loose_text:
         return DocumentTree.from_root(elements[0], source_id)
-    return DocumentTree.from_root(ElementNode("html", (), tuple(top)), source_id)
+    return DocumentTree.from_root(RawElement("html", (), tuple(top)), source_id)
 
 
 def reference_preprocess(tree: DocumentTree) -> DocumentTree:
@@ -291,8 +314,8 @@ def reference_preprocess(tree: DocumentTree) -> DocumentTree:
             if child.tag in STRIP_TAGS:
                 continue
             kept.append(rebuild(child))
-        attrs = tuple((k, v) for k, v in el.attrs if k == KEEP_ATTR)
-        return ElementNode(el.tag, attrs, tuple(kept))
+        classes = [v for k, v in el.attrs if k == KEEP_ATTR]
+        return ElementNode(el.tag, classes[0] if classes else None, tuple(kept))
 
     if tree.root.tag in STRIP_TAGS:
         return DocumentTree.from_root(ElementNode("html"), tree.source_id)
@@ -322,7 +345,7 @@ def copied_subtree(tree: DocumentTree, element: ElementNode) -> DocumentTree:
     def copy(node):
         if isinstance(node, TextNode):
             return TextNode(node.text)
-        return ElementNode(node.tag, node.attrs, tuple(copy(c) for c in node.children))
+        return ElementNode(node.tag, node.class_attr, tuple(copy(c) for c in node.children))
 
     return DocumentTree.from_root(copy(element), tree.source_id)
 

@@ -750,12 +750,18 @@ class TestMalformedInputs:
         ({"kind": 5}, None, "kind"),
         ({"kind": "scripted", "script_path": "script.json"}, {"entries": {"f": {"x": 1}}},
          "entries.f"),
+        ({"kind": "http"}, None, "endpoint"),
+        ({"kind": "http", "endpoint": "http://127.0.0.1:9/x"}, None, "credential_env"),
+        ({"max_retries": -1}, None, "max_retries"),
+        ({"timeout_s": -5}, None, "timeout_s"),
+        ({"timeout_s": 0}, None, "timeout_s"),
+        ({"rate_limit_per_minute": -1}, None, "rate_limit_per_minute"),
     ])
     def test_malformed_backend_or_script_is_data_error(
         self, tmp_path, capsys, backend, script, field
     ):
         # Numbers written as strings are not coerced: every field is checked
-        # against its type, and the error names the field's path.
+        # against its type and its range, and the error names the field's path.
         cases = tmp_path / "cases"
         cases.mkdir()
         dump_json({"corpus_root": str(tmp_path)}, cases / "_meta.json")
@@ -810,6 +816,24 @@ class TestMalformedInputs:
         error = json.loads(capsys.readouterr().err.strip())
         assert error["error"] == "GatewayError"
         assert "not JSON" in error["detail"]
+
+    @pytest.mark.parametrize("command", ["prepare", "generate"])
+    def test_a_directory_where_a_file_belongs_is_data_error(
+        self, tmp_path, capsys, synthetic_corpus, command
+    ):
+        # A manifest path, or a case file the cases directory lists, that
+        # names a directory: an OSError other than FileNotFoundError.
+        cases = tmp_path / "cases"
+        (cases / "x.json").mkdir(parents=True)
+        dump_json({"corpus_root": str(tmp_path)}, cases / "_meta.json")
+        args = {
+            "prepare": ("--manifest", cases / "x.json"),
+            "generate": ("--cases", cases, "--backend", synthetic_corpus.backend_path),
+        }[command]
+        assert run_cli(command, *args, "--out", tmp_path / "out") == 3
+        error = json.loads(capsys.readouterr().err.strip())
+        assert error["error"] == "IsADirectoryError"
+        assert "x.json" in error["detail"]
 
     def test_deeply_nested_record_is_data_error(self, tmp_path, capsys):
         trace = tmp_path / "t.json"

@@ -21,12 +21,12 @@ from wrapsmith.xpath import DocumentNode, evaluate
 
 
 def shape(tree):
-    """Pre-order ``(type, tag, attrs, text, child count)`` of every node.
+    """Pre-order ``(type, tag, class, text, child count)`` of every node.
 
     Unlike ``to_html()``, this tells one text node from two adjacent ones.
     """
     return [
-        (type(n).__name__, n.tag, n.attrs, None, len(n.children))
+        (type(n).__name__, n.tag, n.class_attr, None, len(n.children))
         if isinstance(n, ElementNode)
         else (type(n).__name__, None, None, n.text, 0)
         for n in tree.root.iter_nodes()
@@ -124,8 +124,8 @@ class TestPreprocess:
 
     def test_only_class_attribute_kept(self):
         clean = parse_html('<div id="a" class="b" style="c"><p title="q">x</p></div>', "t")
-        assert clean.root.attrs == (("class", "b"),)
-        assert child_elements(clean.root)[0].attrs == ()
+        assert clean.root.class_attr == "b"
+        assert child_elements(clean.root)[0].class_attr is None
 
     def test_multi_class_string_kept_verbatim(self):
         clean = parse_html('<div class="a b  c">x</div>', "t")

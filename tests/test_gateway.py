@@ -269,6 +269,18 @@ class TestHttpBackend:
         with pytest.raises(BackendTimeout):
             gateway.complete("crawler", ["instr", "<p>x</p>"])
 
+    def test_connection_reset_is_backend_error(self, monkeypatch):
+        import urllib.request
+
+        def reset_urlopen(*args, **kwargs):
+            raise ConnectionResetError("connection reset by peer")
+
+        monkeypatch.setenv("WRAPSMITH_TEST_KEY", "sekrit")
+        monkeypatch.setattr(urllib.request, "urlopen", reset_urlopen)
+        gateway = LlmGateway(self.config("http://127.0.0.1:9/x"))
+        with pytest.raises(GatewayError, match="connection reset"):
+            gateway.complete("crawler", ["instr", "<p>x</p>"])
+
     def test_http_config_requires_endpoint_and_credential(self):
         with pytest.raises(ValueError):
             BackendConfig(kind=BackendKind.HTTP).validate()

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    TAGS,
     copied_subtree,
     elements,
     et_findall,
@@ -14,7 +15,7 @@ from oracles import (
     random_simple_xpath,
 )
 from wrapsmith import xpath as xpath_module
-from wrapsmith.dom import parse_html
+from wrapsmith.dom import ElementNode, TextNode, parse_html
 from wrapsmith.executor import normalize_values
 from wrapsmith.xpath import (
     AttributeValue,
@@ -29,6 +30,15 @@ from wrapsmith.xpath import (
 
 def tree_of(html):
     return parse_html(html, "t")
+
+
+def describe(node):
+    """An element as its tag, an attribute as ``@value``, text as its repr."""
+    if isinstance(node, AttributeValue):
+        return f"@{node.value}"
+    if isinstance(node, TextNode):
+        return repr(node.text)
+    return node.tag
 
 
 class TestSelection:
@@ -85,6 +95,15 @@ class TestSelection:
         tree = tree_of('<div><a class="x" class="y">v</a></div>')
         assert [n.value for n in evaluate(tree, "//a/@class")] == ["x"]
         assert evaluate(tree, "//a[@class='y']") == []
+        assert tree.to_html() == '<div><a class="x">v</a></div>'
+
+    def test_union_across_node_kinds_is_in_document_order(self):
+        # Each attribute comes right after its element, before its children.
+        tree = tree_of('<div class="d"><p class="q">a</p><div class="e"><p>b</p></div></div>')
+        found = evaluate(tree, "//p | //div/@class | //div | //p/text()")
+        assert [describe(n) for n in found] == [
+            "div", "@d", "p", "'a'", "div", "@e", "p", "'b'",
+        ]
 
     def test_wildcard(self):
         tree = tree_of("<div><p>a</p><span>b</span></div>")
@@ -237,6 +256,38 @@ class TestOracleEquivalence:
                 mine = evaluate(tree, expression)
                 mirrored = [lookup[id(node)] for node in mine]
                 assert mirrored == et_findall(doc, expression, et_order), expression
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_unions_across_node_kinds_match_a_walk(seed):
+    # 3 x 60 random pages x 10 unions of ``//T``, ``//T/@class`` and
+    # ``//T/text()`` branches, against a filter over the pre-order walk in
+    # which each element's attribute follows the element itself.
+    rng = random.Random(seed)
+    for index in range(60):
+        tree = parse_html(random_page_html(rng), f"kinds-{index}")
+        nodes = list(tree.root.iter_nodes())
+        parent_of = {id(child): node for node in nodes for child in node.children}
+        for _ in range(10):
+            branches = {
+                (rng.choice(["", "/@class", "/text()"]), rng.choice(TAGS + ["body"]))
+                for _ in range(rng.randint(1, 4))
+            }
+            expected = []
+            for node in nodes:
+                if isinstance(node, ElementNode):
+                    if ("", node.tag) in branches:
+                        expected.append(node)
+                    if ("/@class", node.tag) in branches and node.class_attr is not None:
+                        expected.append(("@", node))
+                elif ("/text()", parent_of[id(node)].tag) in branches:
+                    expected.append(node)
+            expression = " | ".join(f"//{tag}{tail}" for tail, tag in sorted(branches))
+            found = [
+                ("@", n.owner) if isinstance(n, AttributeValue) else n
+                for n in evaluate(tree, expression)
+            ]
+            assert found == expected, expression
 
 
 @settings(max_examples=30, deadline=None)
