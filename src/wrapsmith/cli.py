@@ -280,11 +280,7 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
     meta, corpus_root = _load_meta(candidates_dir)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    gateway: Optional[LlmGateway] = None
-    if args.mode == "llm":
-        if not args.backend:
-            raise UsageError("--mode llm requires --backend")
-        gateway = LlmGateway(BackendConfig.from_file(args.backend))
+    gateway = LlmGateway(BackendConfig.from_file(args.backend)) if args.backend else None
 
     def plan(path: Path) -> _Walk:
         candidates_file = read_record(path, partial(from_record, CandidatesFile))
@@ -514,8 +510,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("synthesize", help="choose one sequence per case")
     p.add_argument("--candidates", required=True)
-    p.add_argument("--mode", choices=["deterministic", "llm"], default="deterministic")
-    p.add_argument("--backend")
+    p.add_argument("--backend", help="backend config JSON file; ranks with the model")
     p.add_argument("--gold", action="store_true", help="rank against gold labels")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_synthesize)

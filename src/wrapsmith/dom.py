@@ -13,7 +13,9 @@ a page holds no reference cycle and is freed as soon as it is dropped. Size
 metrics (token count, tree height) are taken over the serialization's parts,
 in which each tag is its own whitespace-delimited token, which keeps both
 measures monotone under pruning. Every walk over a tree uses an explicit
-stack, so no nesting depth reaches the interpreter's recursion limit.
+stack, so no nesting depth reaches the interpreter's recursion limit;
+:func:`iter_nodes` is the one pre-order walk that the evaluator and
+``text_content`` share.
 """
 
 from __future__ import annotations
@@ -86,20 +88,7 @@ class ElementNode:
 
     def text_content(self) -> str:
         """Concatenated character data of the whole subtree, in order."""
-        parts: list[str] = []
-        for node in self.iter_nodes():
-            if isinstance(node, TextNode):
-                parts.append(node.text)
-        return "".join(parts)
-
-    def iter_nodes(self) -> Iterator["Node"]:
-        """Pre-order walk over this node and all descendants."""
-        stack: list[Node] = [self]
-        while stack:
-            node = stack.pop()
-            yield node
-            if node.children:
-                stack.extend(reversed(node.children))
+        return "".join([n.text for n in iter_nodes(self) if isinstance(n, TextNode)])
 
     def __repr__(self) -> str:
         cls = f" class={self.class_attr!r}" if self.class_attr else ""
@@ -107,6 +96,17 @@ class ElementNode:
 
 
 Node = Union[ElementNode, TextNode]
+
+
+def iter_nodes(node) -> Iterator[Node]:
+    """Pre-order walk over ``node`` and all its descendants; ``node`` is
+    anything with ``children``, a :class:`DocumentTree` included."""
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        yield node
+        if node.children:
+            stack.extend(reversed(node.children))
 
 
 @dataclass(frozen=True)
@@ -124,15 +124,24 @@ class DocumentTree:
     source identifier and the page's ``parents`` table, in which
     ``parents[node.order]`` is a node's parent (``None`` for the page root,
     the node of order 0). Its nodes never change, so it renders once and
-    every caller of :meth:`to_html` and :func:`measure` shares that."""
+    every caller of :meth:`to_html` and :func:`measure` shares that.
+
+    The tree is also XPath's document node: the parent of its root, which
+    sorts before every node of the page. A view is its own document node.
+    """
 
     __slots__ = ("root", "source_id", "parents", "_rendered")
+    order = -1
 
     def __init__(self, root: ElementNode, source_id: str, parents: list) -> None:
         self.root = root
         self.source_id = source_id
         self.parents = parents
         self._rendered: Optional[tuple[str, TreeMetrics]] = None
+
+    @property
+    def children(self) -> tuple[ElementNode]:
+        return (self.root,)
 
     @classmethod
     def from_root(cls, root: ElementNode, source_id: str) -> "DocumentTree":

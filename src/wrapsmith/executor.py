@@ -3,13 +3,13 @@
 An action sequence is an ordered list of XPath expressions: every step but
 the last prunes the tree down to the first matched element, and the final
 step extracts text values from whatever remains. :func:`prune` returns
-that element; the document node, which ``/..`` selects at the root, counts
-as the root. :func:`extract` runs a whole sequence: each pruning step
-narrows the tree to a view rooted at the pruned element (nothing is
-copied), a failing step reports its index, and the empty sequence means
-"attribute absent", which extracts nothing. Extracted values are normalized
-(whitespace collapsed, empties dropped) so that downstream comparisons
-tolerate markup padding.
+that element; the document node, which is the tree itself and which ``/..``
+selects at the root, counts as the root. :func:`extract` runs a whole
+sequence: each pruning step narrows the tree to a view rooted at the pruned
+element (nothing is copied), a failing step reports its index, and the
+empty sequence means "attribute absent", which extracts nothing. Extracted
+values are normalized (whitespace collapsed, empties dropped) so that
+downstream comparisons tolerate markup padding.
 
 :func:`literal_predicates` lists a rule's ``contains()`` and ``=``
 predicates and flags the ones that match a page-specific text literal;
@@ -119,8 +119,9 @@ def eval_text(tree: DocumentTree, expression: str) -> ExtractionResult:
 def prune(tree: DocumentTree, expression: str) -> ElementNode:
     """First element the expression selects in ``tree``.
 
-    The document node (the target of ``/..`` applied at the root) maps to
-    ``tree.root``, so a climb past the root stays there.
+    The document node, which is ``tree`` itself (the target of ``/..``
+    applied at the root), maps to ``tree.root``, so a climb past the root
+    stays there.
     """
     try:
         matches = xp.evaluate(tree, expression)
@@ -129,7 +130,7 @@ def prune(tree: DocumentTree, expression: str) -> ElementNode:
     if not matches:
         raise NoMatchError(expression)
     first = matches[0]
-    if isinstance(first, xp.DocumentNode):
+    if first is tree:
         return tree.root
     if not isinstance(first, ElementNode):
         raise NotAnElementError(expression)

@@ -249,15 +249,14 @@ class LlmGateway:
     def __init__(
         self,
         config: BackendConfig,
-        script: Optional[ScriptTable] = None,
         transport: Optional[Callable[[str, str], str]] = None,
         clock: Callable[[], float] = time.monotonic,
         sleeper: Callable[[float], None] = time.sleep,
     ) -> None:
         config.validate()
         self.config = config
-        self.script = script
-        if script is None and config.kind is BackendKind.SCRIPTED and config.script_path:
+        self.script: Optional[ScriptTable] = None
+        if config.kind is BackendKind.SCRIPTED and config.script_path:
             self.script = ScriptTable.load(config.script_path)
         self._transport = transport
         self._limiter = _RateLimiter(config.rate_limit_per_minute, clock, sleeper)

@@ -37,7 +37,7 @@ from .executor import ActionSequence, ExtractionResult, Provenance, eval_text
 from .executor import prune  # noqa: F401 - the benchmark's tracer test looks it up here
 from .gateway import JudgeMode, JudgeResult, LlmExchange, LlmGateway, MalformedOutput
 from .gateway import judge_consistent, judge_contains
-from .xpath import DocumentNode, XPathSyntaxError, climb
+from .xpath import XPathSyntaxError, climb
 
 
 class Strategy(str, Enum):
@@ -206,7 +206,7 @@ def _step_back(
 
     try:
         for climbs, node in enumerate(climb(tree, proposed), start=1):
-            if isinstance(node, DocumentNode) or node is tree.root:
+            if node is tree or node is tree.root:
                 break
             if not isinstance(node, ElementNode):
                 continue  # nothing here can root a subtree: climb on

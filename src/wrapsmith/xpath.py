@@ -9,7 +9,12 @@ the ``contains`` / ``starts-with`` / ``not`` / ``position`` / ``last`` /
 ``substring()`` and ``normalize-space()`` are deliberately rejected.
 
 Every node has ``children`` (empty for a leaf) and an ``order`` that is
-unique within its page, so a node-set is a set sorted by ``order``.
+unique within its page, so a node-set is a set sorted by ``order``. The
+:class:`~wrapsmith.dom.DocumentTree` itself is the document node, the target
+of ``/`` and of the root's ``..``: its one child is the root and it sorts at
+``-1``, before every node of the page. A pruned view is its own document
+node, so a path on a view never leaves it. A parent's ``children`` are
+sorted by ``order``, so a sibling step finds its node by bisection.
 Comparisons follow XPath 1.0 semantics: a node-set compares existentially
 against the other operand via node string-values.
 
@@ -23,37 +28,18 @@ Any further predicates see that single node. Other steps, including
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, islice
+from itertools import islice
 from operator import attrgetter
 from typing import Iterable, Iterator, Optional, Union
 
-from .dom import KEEP_ATTR, DocumentTree, ElementNode, Node, TextNode
+from .dom import KEEP_ATTR, DocumentTree, ElementNode, TextNode, iter_nodes
 
 
 class XPathSyntaxError(ValueError):
     """The expression is not valid (or not supported) XPath."""
-
-
-class DocumentNode:
-    """Virtual node above the root element; target of ``/`` and root ``..``.
-    It carries the page's ``parents`` table, which the parent axes read, and
-    sorts before every node of the page."""
-
-    __slots__ = ("root", "parents")
-    order = -1
-
-    def __init__(self, tree: DocumentTree) -> None:
-        self.root = tree.root
-        self.parents = tree.parents
-
-    @property
-    def children(self) -> tuple[Node, ...]:
-        return (self.root,)
-
-    def __repr__(self) -> str:
-        return "<DocumentNode>"
 
 
 @dataclass(frozen=True)
@@ -78,7 +64,7 @@ class AttributeValue:
         return self.owner.order + 0.5
 
 
-XNode = Union[ElementNode, TextNode, DocumentNode, AttributeValue]
+XNode = Union[ElementNode, TextNode, DocumentTree, AttributeValue]
 
 
 # --------------------------------------------------------------------------
@@ -418,8 +404,6 @@ def string_value(node: XNode) -> str:
         return node.text
     if isinstance(node, AttributeValue):
         return node.value
-    if isinstance(node, DocumentNode):
-        return node.root.text_content()
     return node.text_content()
 
 
@@ -455,15 +439,15 @@ def _to_number(value) -> float:
 class _Context:
     __slots__ = ("node", "position", "size", "document")
 
-    def __init__(self, node: XNode, position: int, size: int, document: DocumentNode) -> None:
+    def __init__(self, node: XNode, position: int, size: int, document: DocumentTree) -> None:
         self.node = node
         self.position = position
         self.size = size
         self.document = document
 
 
-def _parent_of(node: XNode, document: DocumentNode) -> Optional[XNode]:
-    if isinstance(node, DocumentNode):
+def _parent_of(node: XNode, document: DocumentTree) -> Optional[XNode]:
+    if node is document:
         return None
     if node is document.root:  # a pruned view's root keeps its page parent
         return document
@@ -472,23 +456,14 @@ def _parent_of(node: XNode, document: DocumentNode) -> Optional[XNode]:
     return document.parents[node.order]
 
 
-def _descendants(node: XNode) -> Iterator[Node]:
-    stack = list(reversed(node.children))
-    while stack:
-        item = stack.pop()
-        yield item
-        if item.children:
-            stack.extend(reversed(item.children))
-
-
-def _axis_candidates(node: XNode, axis: str, document: DocumentNode) -> Iterable[XNode]:
+def _axis_candidates(node: XNode, axis: str, document: DocumentTree) -> Iterable[XNode]:
     """The nodes on ``axis`` from ``node``, in axis order, produced lazily."""
     if axis == "child":
         return node.children
     if axis == "descendant":
-        return _descendants(node)
+        return islice(iter_nodes(node), 1, None)
     if axis == "descendant-or-self":
-        return chain((node,), _descendants(node))
+        return iter_nodes(node)
     if axis == "self":
         return (node,)
     if axis == "parent":
@@ -501,13 +476,10 @@ def _axis_candidates(node: XNode, axis: str, document: DocumentNode) -> Iterable
         if parent is None or isinstance(node, AttributeValue):
             return ()
         siblings = parent.children
-        try:
-            idx = siblings.index(node)
-        except ValueError:
-            return ()
+        idx = bisect_left(siblings, node.order, key=_order_key)
         if axis == "following-sibling":
-            return islice(siblings, idx + 1, None)
-        return islice(reversed(siblings), len(siblings) - idx, None)  # nearest first
+            return map(siblings.__getitem__, range(idx + 1, len(siblings)))
+        return map(siblings.__getitem__, range(idx - 1, -1, -1))  # nearest first
     if axis == "attribute":
         if isinstance(node, ElementNode) and node.class_attr is not None:
             return (AttributeValue(node),)
@@ -515,7 +487,7 @@ def _axis_candidates(node: XNode, axis: str, document: DocumentNode) -> Iterable
     raise XPathSyntaxError(f"unsupported axis {axis!r}")
 
 
-def _ancestors(node: XNode, or_self: bool, document: DocumentNode) -> Iterator[XNode]:
+def _ancestors(node: XNode, or_self: bool, document: DocumentTree) -> Iterator[XNode]:
     """Nearest first: reverse axis order."""
     cur = node if or_self else _parent_of(node, document)
     while cur is not None:
@@ -540,7 +512,7 @@ def _test_matches(test: NodeTest, node: XNode, axis: str) -> bool:
 
 
 def _evaluate_step(
-    nodes: list[XNode], step: Step, document: DocumentNode
+    nodes: list[XNode], step: Step, document: DocumentTree
 ) -> list[XNode]:
     gathered: set[XNode] = set()
     predicates = step.predicates
@@ -568,7 +540,7 @@ def _evaluate_step(
 
 
 def _nth_candidate(
-    node: XNode, step: Step, nth: float, document: DocumentNode
+    node: XNode, step: Step, nth: float, document: DocumentTree
 ) -> list[XNode]:
     """The ``[nth]`` node passing the step's test; the scan stops there."""
     if nth < 1 or nth != int(nth):
@@ -690,9 +662,7 @@ def evaluate(tree: DocumentTree, expression: str) -> list[XNode]:
     Raises :class:`XPathSyntaxError` for expressions outside the dialect.
     """
     ast = parse_xpath(expression)
-    document = DocumentNode(tree)
-    ctx = _Context(document, 1, 1, document)
-    return _evaluate_paths(ast, ctx)
+    return _evaluate_paths(ast, _Context(tree, 1, 1, tree))
 
 
 _PARENT_STEP = Step("parent", NodeTestAny())
@@ -709,13 +679,12 @@ def climb(tree: DocumentTree, expression: str) -> Iterator[Optional[XNode]]:
     Raises :class:`XPathSyntaxError` as :func:`evaluate` does.
     """
     *fixed_paths, last = parse_xpath(expression + "/..").paths
-    document = DocumentNode(tree)
-    ctx = _Context(document, 1, 1, document)
+    ctx = _Context(tree, 1, 1, tree)
     fixed = _evaluate_paths(UnionExpr(tuple(fixed_paths)), ctx)[:1]
     nodes = _evaluate_paths(last, ctx)
     while True:
         yield min(fixed + nodes[:1], key=_order_key, default=None)
         if not nodes:
             return
-        nodes = _evaluate_step(nodes, _PARENT_STEP, document)
+        nodes = _evaluate_step(nodes, _PARENT_STEP, tree)
 

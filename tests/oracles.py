@@ -25,6 +25,10 @@ the steps are merged.
 The step-back oracle climbs by strings, the way the paper words it: append
 ``/..`` to the xpath and prune the whole page again, once per climb.
 
+The sibling oracle finds a node's parent by scanning the ``parents`` table
+for the element whose children hold it, and its siblings by a plain loop
+over those children: no bisection and no use of ``order``.
+
 The XPath oracle mirrors a document tree into ``xml.etree.ElementTree``
 (wrapped in a synthetic super-root so leading ``//`` behaves like the
 document node) and answers the same queries through ``findall``, a code
@@ -52,6 +56,7 @@ from wrapsmith.dom import (
     ParseFailure,
     TextNode,
     TreeMetrics,
+    iter_nodes,
     measure,
 )
 from wrapsmith import xpath as xp
@@ -357,7 +362,33 @@ def child_elements(node: ElementNode) -> list[ElementNode]:
 
 def elements(node: ElementNode) -> list[ElementNode]:
     """The elements of ``node``'s subtree, ``node`` first, in document order."""
-    return [n for n in node.iter_nodes() if isinstance(n, ElementNode)]
+    return [n for n in iter_nodes(node) if isinstance(n, ElementNode)]
+
+
+def reference_siblings(tree: DocumentTree, node, axis: str) -> list:
+    """``node``'s siblings on ``axis`` in ``tree``, in axis order: the
+    following ones in document order, the preceding ones nearest first. The
+    root has none, also when ``tree`` is a view of a larger page."""
+    if node is tree.root:
+        return []
+    parent = next(
+        p for p in tree.parents
+        if p is not None and any(child is node for child in p.children)
+    )
+    before: list = []
+    after: list = []
+    seen = False
+    for child in parent.children:
+        if child is node:
+            seen = True
+        elif seen:
+            after.append(child)
+        else:
+            before.append(child)
+    if axis == "following-sibling":
+        return after
+    assert axis == "preceding-sibling", axis
+    return before[::-1]
 
 
 def positional_xpath(tree, element: ElementNode) -> str:

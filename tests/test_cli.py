@@ -426,8 +426,7 @@ class TestParseOncePerWebsite:
         gen = write_candidates(tmp_path, [("a", ["p1"]), ("b", ["p2"])])
         dump_json({"kind": "scripted", "script_path": "script.json"}, tmp_path / "backend.json")
         ScriptTable({}).save(tmp_path / "script.json")
-        args = ("synthesize", "--candidates", gen, "--mode", "llm",
-                "--backend", tmp_path / "backend.json")
+        args = ("synthesize", "--candidates", gen, "--backend", tmp_path / "backend.json")
         prompts = []
 
         def recording(template, prompt):

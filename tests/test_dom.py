@@ -13,11 +13,12 @@ from wrapsmith.dom import (
     EmptyInput,
     ParseFailure,
     TextNode,
+    iter_nodes,
     measure,
     normalize_escapes,
     parse_html,
 )
-from wrapsmith.xpath import DocumentNode, evaluate
+from wrapsmith.xpath import evaluate
 
 
 def shape(tree):
@@ -29,7 +30,7 @@ def shape(tree):
         (type(n).__name__, n.tag, n.class_attr, None, len(n.children))
         if isinstance(n, ElementNode)
         else (type(n).__name__, None, None, n.text, 0)
-        for n in tree.root.iter_nodes()
+        for n in iter_nodes(tree.root)
     ]
 
 
@@ -133,7 +134,7 @@ class TestPreprocess:
 
     def test_comments_dropped(self):
         clean = parse_html("<div><!-- note --><p>x</p></div>", "t")
-        assert all(isinstance(n, (ElementNode, TextNode)) for n in clean.root.iter_nodes())
+        assert all(isinstance(n, (ElementNode, TextNode)) for n in iter_nodes(clean.root))
         assert clean.to_html() == "<div><p>x</p></div>"
 
     def test_idempotent(self):
@@ -194,7 +195,7 @@ class TestSubtree:
         # The view ends at its root although the page's parent of ``span`` is the div.
         assert sub.parents[span.order] is tree.root
         [document] = evaluate(sub, "/span/..")
-        assert isinstance(document, DocumentNode) and document.root is span
+        assert document is sub
         assert evaluate(sub, "//span/../..") == []
         assert evaluate(sub, "//span/ancestor::*") == []
         assert evaluate(sub, "//span/preceding-sibling::*") == []
@@ -202,9 +203,9 @@ class TestSubtree:
 
     def test_subtree_nodes_subset_of_source(self):
         tree = parse_html("<div><p>a</p><p>b</p></div>", "t")
-        source_ids = {id(n) for n in tree.root.iter_nodes()}
+        source_ids = {id(n) for n in iter_nodes(tree.root)}
         p = child_elements(tree.root)[0]
-        for node in tree.subtree(p).root.iter_nodes():
+        for node in iter_nodes(tree.subtree(p).root):
             assert id(node) in source_ids  # shared, not copied
 
 

@@ -91,39 +91,48 @@ class TestJsonExtraction:
             assert extract_json_object(raw) == payload
 
 
+def scripted_gateway(tmp_path, entries) -> LlmGateway:
+    """A scripted gateway that loads ``entries`` from a saved script file."""
+    ScriptTable(entries).save(tmp_path / "script.json")
+    config = BackendConfig(kind=BackendKind.SCRIPTED, script_path=str(tmp_path / "script.json"))
+    return LlmGateway(config)
+
+
 class TestScriptedBackend:
-    def test_canned_response_parsed(self):
+    def test_canned_response_parsed(self, tmp_path):
         prompt = render_prompt("crawler", ["instr", "<p>x</p>"])
-        table = ScriptTable({
+        gateway = scripted_gateway(tmp_path, {
             prompt_fingerprint("crawler", prompt): '{"thought":"t","value":"v","xpath":"//p"}'
         })
-        gateway = LlmGateway(BackendConfig(kind=BackendKind.SCRIPTED), script=table)
         exchange = gateway.complete("crawler", ["instr", "<p>x</p>"])
         assert exchange.parsed == {"thought": "t", "value": "v", "xpath": "//p"}
         assert exchange.attempts == 1
 
-    def test_unknown_fingerprint_is_script_miss(self):
-        gateway = LlmGateway(BackendConfig(kind=BackendKind.SCRIPTED), script=ScriptTable())
+    def test_unknown_fingerprint_is_script_miss(self, tmp_path):
+        gateway = scripted_gateway(tmp_path, {})
         with pytest.raises(ScriptMiss):
             gateway.complete("crawler", ["instr", "<p>x</p>"])
 
-    def test_malformed_then_corrected_entry(self):
+    def test_no_script_path_is_script_miss_on_first_use(self):
+        gateway = LlmGateway(BackendConfig(kind=BackendKind.SCRIPTED))
+        with pytest.raises(ScriptMiss):
+            gateway.complete("crawler", ["instr", "<p>x</p>"])
+
+    def test_malformed_then_corrected_entry(self, tmp_path):
         from wrapsmith.gateway import JSON_REMINDER
 
         prompt = render_prompt("crawler", ["instr", "<p>x</p>"])
-        table = ScriptTable({
+        gateway = scripted_gateway(tmp_path, {
             prompt_fingerprint("crawler", prompt): "not json at all",
             prompt_fingerprint("crawler", prompt + JSON_REMINDER): '{"xpath": "//p"}',
         })
-        gateway = LlmGateway(BackendConfig(kind=BackendKind.SCRIPTED), script=table)
         exchange = gateway.complete("crawler", ["instr", "<p>x</p>"])
         assert exchange.parsed == {"xpath": "//p"}
         assert exchange.attempts == 2
 
-    def test_malformed_without_correction_raises(self):
+    def test_malformed_without_correction_raises(self, tmp_path):
         prompt = render_prompt("crawler", ["instr", "<p>x</p>"])
-        table = ScriptTable({prompt_fingerprint("crawler", prompt): "garbage"})
-        gateway = LlmGateway(BackendConfig(kind=BackendKind.SCRIPTED), script=table)
+        gateway = scripted_gateway(tmp_path, {prompt_fingerprint("crawler", prompt): "garbage"})
         with pytest.raises(MalformedOutput):
             gateway.complete("crawler", ["instr", "<p>x</p>"])
 

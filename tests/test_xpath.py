@@ -13,13 +13,13 @@ from oracles import (
     positional_xpath,
     random_page_html,
     random_simple_xpath,
+    reference_siblings,
 )
 from wrapsmith import xpath as xpath_module
-from wrapsmith.dom import ElementNode, TextNode, parse_html
+from wrapsmith.dom import DocumentTree, ElementNode, TextNode, iter_nodes, parse_html
 from wrapsmith.executor import normalize_values
 from wrapsmith.xpath import (
     AttributeValue,
-    DocumentNode,
     XPathSyntaxError,
     climb,
     evaluate,
@@ -83,7 +83,7 @@ class TestSelection:
         tree = tree_of("<div><span>v</span></div>")
         matches = evaluate(tree, "//div/..")
         assert len(matches) == 1
-        assert matches[0].__class__.__name__ == "DocumentNode"
+        assert matches[0] is tree
 
     def test_attribute_axis(self):
         tree = tree_of('<div class="a b"><p class="c">x</p></div>')
@@ -266,7 +266,7 @@ def test_unions_across_node_kinds_match_a_walk(seed):
     rng = random.Random(seed)
     for index in range(60):
         tree = parse_html(random_page_html(rng), f"kinds-{index}")
-        nodes = list(tree.root.iter_nodes())
+        nodes = list(iter_nodes(tree.root))
         parent_of = {id(child): node for node in nodes for child in node.children}
         for _ in range(10):
             branches = {
@@ -288,6 +288,45 @@ def test_unions_across_node_kinds_match_a_walk(seed):
                 for n in evaluate(tree, expression)
             ]
             assert found == expected, expression
+
+
+SIBLING_STEPS = [
+    "following-sibling::{u}", "following-sibling::{u}[{k}]",
+    "preceding-sibling::{u}[{k}]", "preceding-sibling::node()[{k}]",
+]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_sibling_steps_match_a_scan_of_the_parents_children(seed):
+    # 3 x 60 random pages, each whole and as up to 3 views, x 8 random
+    # ``//T/<sibling step>`` expressions, against the reference scan.
+    rng = random.Random(seed)
+    for index in range(60):
+        page = parse_html(random_page_html(rng), f"siblings-{index}")
+        below_root = elements(page.root)[1:]
+        views = [page.subtree(e) for e in rng.sample(below_root, min(3, len(below_root)))]
+        for tree in [page, *views]:
+            walk = list(iter_nodes(tree.root))
+            rank = {id(node): i for i, node in enumerate(walk)}
+            for _ in range(8):
+                step = rng.choice(SIBLING_STEPS)
+                t, u, k = rng.choice(TAGS), rng.choice(TAGS + ["*"]), rng.randint(1, 3)
+                axis = step.split("::")[0]
+                expected = {}
+                for context in walk:
+                    if not (isinstance(context, ElementNode) and context.tag == t):
+                        continue
+                    found = [
+                        n for n in reference_siblings(tree, context, axis)
+                        if "node()" in step
+                        or isinstance(n, ElementNode) and u in ("*", n.tag)
+                    ]
+                    if "[" in step:
+                        found = found[k - 1:k]
+                    expected.update((id(n), n) for n in found)
+                expression = f"//{t}/" + step.format(u=u, k=k)
+                mine = [id(n) for n in evaluate(tree, expression)]
+                assert mine == sorted(expected, key=rank.__getitem__), expression
 
 
 @settings(max_examples=30, deadline=None)
@@ -331,13 +370,13 @@ def _view_differences(rng, pages, per_page):
         candidates = elements(page.root)
         for element in rng.sample(candidates, min(per_page, len(candidates))):
             view, copy = page.subtree(element), copied_subtree(page, element)
-            to_view = dict(zip(map(id, copy.root.iter_nodes()), view.root.iter_nodes()))
+            to_view = dict(zip(map(id, iter_nodes(copy.root)), iter_nodes(view.root)))
 
             def key(node, node_of=lambda n: n):
                 """A node of either tree as the view's node it stands for."""
                 if node is None:
                     return None
-                if isinstance(node, DocumentNode):
+                if isinstance(node, DocumentTree):
                     return "document"
                 if isinstance(node, AttributeValue):
                     return (node_of(node.owner), node.name, node.value)
