@@ -35,7 +35,7 @@ from .dataset import (
 from .dom import DocumentTree, DomError, parse_html
 from .dom import preprocess  # noqa: F401 - the benchmark's tracer test looks it up here
 from .evaluation import Label, aggregate, classify_case
-from .executor import ActionSequence, ExecutionError, ExtractionResult, ExtractionStatus, extract
+from .executor import ActionSequence, ExtractionResult, ExtractionStatus, extract
 from .gateway import BackendConfig, GatewayError, JudgeMode, LlmGateway
 from .generation import GenerationTrace, Strategy, StrategyConfig, generate
 from .synthesis import NoCandidates, TooFewPages, cross_execute, select_seeds, synthesize
@@ -570,7 +570,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (
         DatasetError,
         DomError,
-        ExecutionError,
         TooFewPages,
         NoCandidates,
         OSError,  # a missing file, or a directory where a file should be

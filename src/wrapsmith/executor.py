@@ -3,13 +3,13 @@
 An action sequence is an ordered list of XPath expressions: every step but
 the last prunes the tree down to the first matched element, and the final
 step extracts text values from whatever remains. :func:`prune` returns
-that element; the document node, which is the tree itself and which ``/..``
-selects at the root, counts as the root. :func:`extract` runs a whole
-sequence: each pruning step narrows the tree to a view rooted at the pruned
-element (nothing is copied), a failing step reports its index, and the
-empty sequence means "attribute absent", which extracts nothing. Extracted
-values are normalized (whitespace collapsed, empties dropped) so that
-downstream comparisons tolerate markup padding.
+that element, or ``None``; the document node, which is the tree itself and
+which ``/..`` selects at the root, counts as the root. :func:`extract` runs
+a whole sequence: each pruning step narrows the tree to a view rooted at
+the pruned element (nothing is copied), a failing step reports its index,
+and the empty sequence means "attribute absent", which extracts nothing.
+Extracted values are normalized (whitespace collapsed, empties dropped) so
+that downstream comparisons tolerate markup padding.
 
 :func:`literal_predicates` lists a rule's ``contains()`` and ``=``
 predicates and flags the ones that match a page-specific text literal;
@@ -26,22 +26,6 @@ from typing import Iterable, Optional
 from . import xpath as xp
 from .dataset import OPTIONAL
 from .dom import DocumentTree, ElementNode
-
-
-class ExecutionError(Exception):
-    """Base class for sequence execution failures."""
-
-
-class InvalidXPathError(ExecutionError):
-    """Expression failed to parse or is outside the supported dialect."""
-
-
-class NoMatchError(ExecutionError):
-    """Selection was empty."""
-
-
-class NotAnElementError(ExecutionError):
-    """First match is a text or attribute node, so it cannot root a subtree."""
 
 
 class ExtractionStatus(str, Enum):
@@ -116,25 +100,20 @@ def eval_text(tree: DocumentTree, expression: str) -> ExtractionResult:
     return ExtractionResult(values, ExtractionStatus.OK)
 
 
-def prune(tree: DocumentTree, expression: str) -> ElementNode:
+def prune(tree: DocumentTree, expression: str) -> Optional[ElementNode]:
     """First element the expression selects in ``tree``.
 
-    The document node, which is ``tree`` itself (the target of ``/..``
-    applied at the root), maps to ``tree.root``, so a climb past the root
-    stays there.
+    ``None`` when the selection is empty or starts with a text or attribute
+    node, which cannot root a subtree. The document node, which is ``tree``
+    itself (the target of ``/..`` applied at the root), maps to
+    ``tree.root``, so a climb past the root stays there. Raises
+    :class:`~wrapsmith.xpath.XPathSyntaxError` for an invalid expression.
     """
-    try:
-        matches = xp.evaluate(tree, expression)
-    except xp.XPathSyntaxError as exc:
-        raise InvalidXPathError(str(exc)) from exc
-    if not matches:
-        raise NoMatchError(expression)
-    first = matches[0]
+    matches = xp.evaluate(tree, expression)
+    first = matches[0] if matches else None
     if first is tree:
         return tree.root
-    if not isinstance(first, ElementNode):
-        raise NotAnElementError(expression)
-    return first
+    return first if isinstance(first, ElementNode) else None
 
 
 def extract(page: DocumentTree, sequence: ActionSequence) -> ExtractionResult:
@@ -148,9 +127,9 @@ def extract(page: DocumentTree, sequence: ActionSequence) -> ExtractionResult:
     for index, step in enumerate(sequence.pruning_steps):
         try:
             node = prune(tree, step)
-        except InvalidXPathError:
+        except xp.XPathSyntaxError:
             return ExtractionResult((), ExtractionStatus.INVALID_XPATH, failed_step=index)
-        except (NoMatchError, NotAnElementError):
+        if node is None:
             return ExtractionResult((), ExtractionStatus.NO_MATCH, failed_step=index)
         tree = tree.subtree(node)
     result = eval_text(tree, sequence.steps[-1])

@@ -27,6 +27,7 @@ from .gateway import BackendConfig, BackendKind, LlmGateway, ScriptTable, prompt
 from .generation import StrategyConfig, generate
 
 EASY_SITES = frozenset({0, 5})
+ATTRIBUTES = ("height", "team")
 
 _HEIGHT_RE = re.compile(
     r'Height:</b><span class="val">\s*([^<]*?)\s*</span>'
@@ -133,8 +134,6 @@ def build_synthetic_corpus(
     root: str | Path,
     sites: int = 10,
     pages_per_site: int = 20,
-    attributes: tuple[str, ...] = ("height", "team"),
-    d_max: int = 5,
 ) -> SyntheticCorpus:
     """Write pages, manifest, gold labels, script table, backend config."""
     root = Path(root)
@@ -148,7 +147,7 @@ def build_synthetic_corpus(
         site_dir = root / "pages" / site_id
         site_dir.mkdir(parents=True, exist_ok=True)
         pages: dict[str, str] = {}
-        gold: dict[str, dict[str, list[str]]] = {attr: {} for attr in attributes}
+        gold: dict[str, dict[str, list[str]]] = {attr: {} for attr in ATTRIBUTES}
         for page in range(pages_per_site):
             page_id = f"p{page:02d}"
             rel = f"pages/{site_id}/{page_id}.html"
@@ -156,10 +155,8 @@ def build_synthetic_corpus(
             (root / rel).write_text(html, encoding="utf-8")
             written.append((site_id, page_id, html))
             pages[page_id] = rel
-            if "height" in gold:
-                gold["height"][page_id] = [f"6-{page}"]
-            if "team" in gold:
-                gold["team"][page_id] = [f"Team {site}{page} City"]
+            gold["height"][page_id] = [f"6-{page}"]
+            gold["team"][page_id] = [f"Team {site}{page} City"]
         websites[site_id] = {"pages": pages, "gold": gold}
 
     manifest_path = root / "manifest.json"
@@ -171,10 +168,10 @@ def build_synthetic_corpus(
     recorder = _Recorder()
     gateway = LlmGateway(BackendConfig(kind=BackendKind.SCRIPTED), transport=recorder)
     manifest = CorpusManifest.load(manifest_path)
-    cfg = StrategyConfig(d_max=d_max)
+    cfg = StrategyConfig()
     for site_id, page_id, html in written:
         tree = parse_html(html, page_id)
-        for attr in attributes:
+        for attr in ATTRIBUTES:
             instruction = manifest.instruction_for("nbaplayer", attr)
             sequence, trace = generate(tree, instruction, gateway, cfg)
             if sequence is None:

@@ -8,6 +8,13 @@ the ``contains`` / ``starts-with`` / ``not`` / ``position`` / ``last`` /
 ``count`` / ``string`` functions. String-manipulation functions such as
 ``substring()`` and ``normalize-space()`` are deliberately rejected.
 
+The parser reads each token as its text. A literal keeps its quotes and an
+axis its ``::``, so an operator is told apart by its text alone, and a
+literal, a number or a name by its first character: a quote, a digit, or a
+letter or ``_``. After a complete operand, a bare ``and`` or ``or`` is the
+operator, the order that XPath 1.0 §3.7 gives. ``//`` expands to
+``/descendant-or-self::node()/`` in ``_Parser.parse_path`` alone.
+
 Every node has ``children`` (empty for a leaf) and an ``order`` that is
 unique within its page, so a node-set is a set sorted by ``order``. The
 :class:`~wrapsmith.dom.DocumentTree` itself is the document node, the target
@@ -157,148 +164,116 @@ _AXES = {
 }
 
 # --------------------------------------------------------------------------
-# Tokenizer
+# Parser
 # --------------------------------------------------------------------------
 
 _TOKEN_RE = re.compile(
-    r"""\s*(?:
-        (?P<num>\d+(?:\.\d+)?)
-      | (?P<str>'[^']*'|"[^"]*")
-      | (?P<dotdot>\.\.)
-      | (?P<dslash>//)
-      | (?P<axis>[a-zA-Z_][\w-]*\s*::)
-      | (?P<name>[a-zA-Z_][\w.-]*)
-      | (?P<op>!=|<=|>=|[/\[\]@()|=<>,.*])
+    r"""\s*(
+        \d+(?:\.\d+)?
+      | '[^']*'|"[^"]*"
+      | \.\.
+      | //
+      | [a-zA-Z_][\w-]*\s*::
+      | [a-zA-Z_][\w.-]*
+      | !=|<=|>=|[/\[\]@()|=<>,.*]
     )""",
     re.VERBOSE,
 )
 
+# Binary operators from the loosest binding to the tightest.
+_LEVELS = (("or",), ("and",), ("=", "!=", "<", "<=", ">", ">="))
 
-def _tokenize(text: str) -> list[tuple[str, str]]:
-    tokens: list[tuple[str, str]] = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None or match.end() == pos:
-            if text[pos:].strip() == "":
-                break
-            raise XPathSyntaxError(f"unexpected character at {pos}: {text[pos:]!r}")
-        pos = match.end()
-        kind = match.lastgroup
-        value = match.group(kind)
-        if kind == "axis":
-            value = value[:-2].strip()
-        elif kind == "str":
-            value = value[1:-1]
-        tokens.append((kind, value))
-    return tokens
+_ANY_DESCENDANT = Step("descendant-or-self", NodeTestAny())
 
 
 class _Parser:
     def __init__(self, text: str) -> None:
         self.text = text
-        self.tokens = _tokenize(text)
+        self.tokens: list[str] = []
+        pos, end = 0, len(text.rstrip())
+        while pos < end:
+            match = _TOKEN_RE.match(text, pos)
+            if match is None:
+                raise XPathSyntaxError(f"unexpected character at {pos}: {text[pos:]!r}")
+            self.tokens.append(match.group(1))
+            pos = match.end()
+        self.tokens += ("", "")  # end of input; peek(1) needs no bounds check
         self.pos = 0
 
-    def peek(self) -> Optional[tuple[str, str]]:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+    def peek(self, ahead: int = 0) -> str:
+        return self.tokens[self.pos + ahead]
 
-    def next(self) -> tuple[str, str]:
-        tok = self.peek()
-        if tok is None:
-            raise XPathSyntaxError(f"unexpected end of expression: {self.text!r}")
-        self.pos += 1
-        return tok
-
-    def accept(self, kind: str, value: Optional[str] = None) -> Optional[tuple[str, str]]:
-        tok = self.peek()
-        if tok and tok[0] == kind and (value is None or tok[1] == value):
+    def accept(self, *tokens: str) -> str:
+        """Consume and return the next token if it is one of ``tokens``, else ``""``."""
+        token = self.tokens[self.pos]
+        if token in tokens:
             self.pos += 1
-            return tok
-        return None
+            return token
+        return ""
 
-    def expect(self, kind: str, value: Optional[str] = None) -> tuple[str, str]:
-        tok = self.accept(kind, value)
-        if tok is None:
-            raise XPathSyntaxError(
-                f"expected {value or kind} at token {self.pos} in {self.text!r}"
-            )
-        return tok
+    def expect(self, token: str) -> None:
+        if not self.accept(token):
+            raise XPathSyntaxError(f"expected {token!r} at token {self.pos} in {self.text!r}")
+
+    def at_step(self) -> bool:
+        """Does a location step start at the next token? Names and axes do."""
+        token = self.peek()
+        return token in ("..", ".", "@", "*") or token[:1].isidentifier()
 
     # -- entry point -------------------------------------------------------
     def parse(self) -> UnionExpr:
         paths = [self.parse_path()]
-        while self.accept("op", "|"):
+        while self.accept("|"):
             paths.append(self.parse_path())
-        if self.peek() is not None:
+        if self.peek():
             raise XPathSyntaxError(f"trailing tokens in {self.text!r}")
         return UnionExpr(tuple(paths))
 
     # -- location paths ------------------------------------------------------
     def parse_path(self) -> Path:
+        """Steps joined by ``/``; ``//`` abbreviates ``/descendant-or-self::node()/``."""
+        separator = self.accept("/", "//")
+        if separator == "/" and not self.at_step():
+            return Path(True, ())  # bare '/' selects the document
+        absolute = bool(separator)
         steps: list[Step] = []
-        absolute = False
-        if self.accept("dslash"):
-            absolute = True
-            steps.append(Step("descendant-or-self", NodeTestAny()))
-            steps.append(self.parse_step())
-        elif self.accept("op", "/"):
-            absolute = True
-            if self._at_step_start():
-                steps.append(self.parse_step())
-            else:
-                return Path(True, ())  # bare '/' selects the document
-        else:
-            steps.append(self.parse_step())
         while True:
-            if self.accept("dslash"):
-                steps.append(Step("descendant-or-self", NodeTestAny()))
-                steps.append(self.parse_step())
-            elif self.accept("op", "/"):
-                steps.append(self.parse_step())
-            else:
-                break
-        return Path(absolute, tuple(steps))
-
-    def _at_step_start(self) -> bool:
-        tok = self.peek()
-        if tok is None:
-            return False
-        kind, value = tok
-        if kind in ("name", "axis", "dotdot"):
-            return True
-        if kind == "op" and value in ("@", ".", "*"):
-            return True
-        return False
+            if separator == "//":
+                steps.append(_ANY_DESCENDANT)
+            steps.append(self.parse_step())
+            separator = self.accept("/", "//")
+            if not separator:
+                return Path(absolute, tuple(steps))
 
     def parse_step(self) -> Step:
-        if self.accept("dotdot"):
+        if self.accept(".."):
             return Step("parent", NodeTestAny())
-        if self.accept("op", "."):
+        if self.accept("."):
             return Step("self", NodeTestAny())
         axis = "child"
-        if self.accept("op", "@"):
+        if self.accept("@"):
             axis = "attribute"
-        else:
-            tok = self.peek()
-            if tok and tok[0] == "axis":
-                axis = self.next()[1]
-                if axis not in _AXES:
-                    raise XPathSyntaxError(f"unsupported axis {axis!r}")
+        elif self.peek().endswith("::"):
+            axis = self.peek()[:-2].rstrip()
+            self.pos += 1
+            if axis not in _AXES:
+                raise XPathSyntaxError(f"unsupported axis {axis!r}")
         test = self.parse_node_test()
         predicates: list[Expr] = []
-        while self.accept("op", "["):
-            predicates.append(self.parse_or())
-            self.expect("op", "]")
+        while self.accept("["):
+            predicates.append(self.parse_expr())
+            self.expect("]")
         return Step(axis, test, tuple(predicates))
 
     def parse_node_test(self) -> NodeTest:
-        if self.accept("op", "*"):
+        if self.accept("*"):
             return AnyTest()
-        tok = self.expect("name")
-        name = tok[1]
-        if self.accept("op", "("):
-            self.expect("op", ")")
+        name = self.peek()
+        if not name[:1].isidentifier() or name.endswith("::"):
+            raise XPathSyntaxError(f"expected a node test at token {self.pos} in {self.text!r}")
+        self.pos += 1
+        if self.accept("("):
+            self.expect(")")
             if name == "text":
                 return TextTest()
             if name == "node":
@@ -307,75 +282,47 @@ class _Parser:
         return NameTest(name)
 
     # -- predicate expressions ----------------------------------------------
-    def parse_or(self) -> Expr:
-        # After a complete operand, a bare 'and'/'or' name is the operator
-        # (matching the standard grammar's OperatorName rule).
-        left = self.parse_and()
-        while True:
-            tok = self.peek()
-            if tok and tok[0] == "name" and tok[1] == "or":
-                self.next()
-                left = BinOp("or", left, self.parse_and())
-            else:
-                return left
-
-    def parse_and(self) -> Expr:
-        left = self.parse_comparison()
-        while True:
-            tok = self.peek()
-            if tok and tok[0] == "name" and tok[1] == "and":
-                self.next()
-                left = BinOp("and", left, self.parse_comparison())
-            else:
-                return left
-
-    def parse_comparison(self) -> Expr:
-        left = self.parse_primary()
-        tok = self.peek()
-        if tok and tok[0] == "op" and tok[1] in ("=", "!=", "<", "<=", ">", ">="):
-            op = self.next()[1]
-            right = self.parse_primary()
-            return BinOp(op, left, right)
+    def parse_expr(self, level: int = 0) -> Expr:
+        """``or``, then ``and``, then at most one comparison: ``a = b = c``
+        is an error. After a complete operand, a bare ``and``/``or`` is the
+        operator (XPath 1.0 §3.7)."""
+        if level == len(_LEVELS):
+            return self.parse_primary()
+        left = self.parse_expr(level + 1)
+        while op := self.accept(*_LEVELS[level]):
+            left = BinOp(op, left, self.parse_expr(level + 1))
+            if level == len(_LEVELS) - 1:
+                break
         return left
 
     def parse_primary(self) -> Expr:
-        tok = self.peek()
-        if tok is None:
-            raise XPathSyntaxError(f"unexpected end of predicate in {self.text!r}")
-        kind, value = tok
-        if kind == "str":
-            self.next()
-            return Literal(value)
-        if kind == "num":
-            self.next()
-            return Number(float(value))
-        if kind == "op" and value == "(":
-            self.next()
-            inner = self.parse_or()
-            self.expect("op", ")")
+        token = self.peek()
+        if token[:1] in ("'", '"'):
+            self.pos += 1
+            return Literal(token[1:-1])
+        if token[:1].isdigit():
+            self.pos += 1
+            return Number(float(token))
+        if self.accept("("):
+            inner = self.parse_expr()
+            self.expect(")")
             return inner
-        if kind == "name":
-            nxt = self.tokens[self.pos + 1] if self.pos + 1 < len(self.tokens) else None
-            if nxt and nxt[0] == "op" and nxt[1] == "(" and value not in ("text", "node"):
-                return self.parse_function()
-        # Anything else starting a step is a relative (or absolute) path.
-        if kind in ("name", "axis", "dotdot", "dslash") or (
-            kind == "op" and value in ("@", ".", "*", "/")
-        ):
+        if token[:1].isidentifier() and self.peek(1) == "(" and token not in ("text", "node"):
+            return self.parse_function()
+        if self.at_step() or token in ("/", "//"):
             return self.parse_path()
-        raise XPathSyntaxError(f"unexpected token {value!r} in {self.text!r}")
+        raise XPathSyntaxError(f"unexpected {token or 'end'!r} in {self.text!r}")
 
     def parse_function(self) -> Expr:
-        name = self.next()[1]
+        name = self.peek()
         if name not in FUNCTIONS:
             raise XPathSyntaxError(f"unknown function {name}()")
-        self.expect("op", "(")
+        self.pos += 2  # the name and its '('
         args: list[Expr] = []
-        if not self.accept("op", ")"):
-            args.append(self.parse_or())
-            while self.accept("op", ","):
-                args.append(self.parse_or())
-            self.expect("op", ")")
+        while not self.accept(")"):
+            if args:
+                self.expect(",")
+            args.append(self.parse_expr())
         arity = FUNCTIONS[name]
         if arity >= 0 and len(args) != arity:
             raise XPathSyntaxError(f"{name}() takes {arity} argument(s), got {len(args)}")
@@ -386,10 +333,18 @@ class _Parser:
 
 @lru_cache(maxsize=1024)
 def parse_xpath(expression: str) -> UnionExpr:
-    """Parse an expression to its AST; raises :class:`XPathSyntaxError`."""
+    """Parse an expression to its AST; raises :class:`XPathSyntaxError`.
+
+    An expression nested too deeply for Python's stack is a syntax error
+    too. The parser recurses deeper per level of nesting than the
+    evaluator, so no AST it returns is too deep to evaluate.
+    """
     if not expression or not expression.strip():
         raise XPathSyntaxError("empty expression")
-    return _Parser(expression).parse()
+    try:
+        return _Parser(expression).parse()
+    except RecursionError:
+        raise XPathSyntaxError("expression nested too deeply") from None
 
 
 # --------------------------------------------------------------------------

@@ -29,6 +29,10 @@ The sibling oracle finds a node's parent by scanning the ``parents`` table
 for the element whose children hold it, and its siblings by a plain loop
 over those children: no bisection and no use of ``order``.
 
+The unparser :func:`render_xpath` writes an AST back as XPath text with no
+abbreviation: every step carries its axis and every binary operation its
+parentheses, so reading the text back needs none of the parser's shortcuts.
+
 The XPath oracle mirrors a document tree into ``xml.etree.ElementTree``
 (wrapped in a synthetic super-root so leading ``//`` behaves like the
 document node) and answers the same queries through ``findall``, a code
@@ -44,6 +48,7 @@ import json
 import random
 import re
 import xml.etree.ElementTree as ET
+from decimal import Decimal
 from html.parser import HTMLParser
 
 from wrapsmith.dom import (
@@ -60,14 +65,7 @@ from wrapsmith.dom import (
     measure,
 )
 from wrapsmith import xpath as xp
-from wrapsmith.executor import (
-    MAX_LITERAL_LEN,
-    MIN_FRAGILE_DIGIT_RUN,
-    InvalidXPathError,
-    NoMatchError,
-    NotAnElementError,
-    prune,
-)
+from wrapsmith.executor import MAX_LITERAL_LEN, MIN_FRAGILE_DIGIT_RUN, prune
 from wrapsmith.gateway import JudgeMode, judge_contains
 
 TAGS = ["div", "span", "p", "b", "ul", "li", "a"]
@@ -344,6 +342,38 @@ def random_simple_xpath(rng: random.Random) -> str:
     return "//" + "/".join(segment() for _ in range(rng.randint(1, 3)))
 
 
+def render_xpath(ast) -> str:
+    """XPath text that parses back to ``ast``, with every axis explicit."""
+    if isinstance(ast, xp.UnionExpr):
+        return " | ".join(_render_path(path) for path in ast.paths)
+    if isinstance(ast, xp.Path):
+        # A name after a bare '/' would be read as its first step.
+        return _render_path(ast) if ast.steps else "(/)"
+    if isinstance(ast, xp.Literal):
+        return f"'{ast.value}'" if "'" not in ast.value else f'"{ast.value}"'
+    if isinstance(ast, xp.Number):
+        return format(Decimal(repr(ast.value)), "f")  # no exponent
+    if isinstance(ast, xp.FuncCall):
+        return f"{ast.name}({', '.join(render_xpath(arg) for arg in ast.args)})"
+    assert isinstance(ast, xp.BinOp), ast
+    return f"({render_xpath(ast.left)} {ast.op} {render_xpath(ast.right)})"
+
+
+def _render_path(path) -> str:
+    steps = "/".join(
+        f"{step.axis}::{_render_test(step.test)}"
+        + "".join(f"[{render_xpath(p)}]" for p in step.predicates)
+        for step in path.steps
+    )
+    return "/" + steps if path.absolute else steps
+
+
+def _render_test(test) -> str:
+    if isinstance(test, xp.NameTest):
+        return test.name
+    return {xp.AnyTest: "*", xp.TextTest: "text()", xp.NodeTestAny: "node()"}[type(test)]
+
+
 def copied_subtree(tree: DocumentTree, element: ElementNode) -> DocumentTree:
     """A tree rooted at a copy of ``element`` that shares no node with ``tree``."""
 
@@ -424,13 +454,11 @@ def reference_step_back(tree, proposed, value, instruction, mode, gateway=None):
         capped = climbs > cap
         try:
             node = prune(tree, base)
-            root_reached = node is tree.root or capped
-        except InvalidXPathError:
-            root_reached = True
-        except (NoMatchError, NotAnElementError):
-            if not capped:
-                continue
-            root_reached = True
+        except xp.XPathSyntaxError:
+            node = tree.root
+        if node is None and not capped:
+            continue
+        root_reached = node is None or node is tree.root or capped
         candidate = tree if root_reached else tree.subtree(node)
         verdict = judge_contains(
             candidate, value, instruction,

@@ -6,12 +6,10 @@ import pytest
 from oracles import child_elements, random_literal_step, reference_literal_predicates
 from wrapsmith.dataset import from_record, to_record
 from wrapsmith.dom import measure, parse_html
+from wrapsmith.xpath import XPathSyntaxError
 from wrapsmith.executor import (
     ActionSequence,
     ExtractionStatus,
-    InvalidXPathError,
-    NoMatchError,
-    NotAnElementError,
     Provenance,
     eval_text,
     extract,
@@ -42,6 +40,21 @@ class TestEvalText:
         tree = parse_html("<div><p>x</p></div>", "t")
         assert eval_text(tree, "//div[").status is ExtractionStatus.INVALID_XPATH
 
+    @pytest.mark.parametrize(
+        "expression",
+        ["//p[" + "(" * 1000 + "1" + ")" * 1000 + "]", "//p" + "[p" * 1000 + "]" * 1000],
+        ids=["parentheses", "predicates"],
+    )
+    def test_too_deeply_nested_is_invalid(self, expression):
+        tree = parse_html("<div><p>x</p></div>", "t")
+        assert eval_text(tree, expression).status is ExtractionStatus.INVALID_XPATH
+
+    def test_moderate_nesting_evaluates(self):
+        tree = parse_html("<div><p>x</p><p>y</p></div>", "t")
+        assert eval_text(tree, "//p[" + "(" * 50 + "2" + ")" * 50 + "]").values == ("y",)
+        deep = eval_text(tree, "//div" + "[p" * 30 + "]" * 30)
+        assert deep.status is ExtractionStatus.NO_MATCH
+
     def test_element_match_uses_string_value(self):
         tree = parse_html("<div><p>a <b>b</b> c</p></div>", "t")
         assert eval_text(tree, "//p").values == ("a b c",)
@@ -69,19 +82,17 @@ class TestEvalNode:
         tree = parse_html("<div><span>v</span></div>", "t")
         assert prune(tree, "//div/span/..") is tree.root
 
-    def test_no_match_raises(self):
+    def test_no_match_is_none(self):
         tree = parse_html("<div><p>x</p></div>", "t")
-        with pytest.raises(NoMatchError):
-            prune(tree, "//section")
+        assert prune(tree, "//section") is None
 
-    def test_text_match_raises_not_an_element(self):
+    def test_text_match_is_none(self):
         tree = parse_html("<div><p>x</p></div>", "t")
-        with pytest.raises(NotAnElementError):
-            prune(tree, "//p/text()")
+        assert prune(tree, "//p/text()") is None
 
     def test_invalid_raises(self):
         tree = parse_html("<div><p>x</p></div>", "t")
-        with pytest.raises(InvalidXPathError):
+        with pytest.raises(XPathSyntaxError):
             prune(tree, "//div[")
 
     def test_root_parent_is_noop_with_signal(self):
@@ -122,6 +133,12 @@ class TestRunSequence:
         result = extract(player_page, seq("//div[@class='hrow']", "//p["))
         assert result.status is ExtractionStatus.INVALID_XPATH
         assert result.failed_step == 1
+
+    def test_pruning_step_failures_report_index(self, player_page):
+        invalid = extract(player_page, seq("//div[@class='hrow']", "//p[", "//b/text()"))
+        assert (invalid.status, invalid.failed_step) == (ExtractionStatus.INVALID_XPATH, 1)
+        text = extract(player_page, seq("//b/text()", "//b/text()"))
+        assert (text.status, text.failed_step) == (ExtractionStatus.NO_MATCH, 0)
 
     def test_extract_treats_empty_sequence_as_absence(self, player_page):
         result = extract(player_page, seq())

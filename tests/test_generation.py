@@ -8,7 +8,7 @@ from conftest import json_answer, make_gateway
 from oracles import elements, random_page_html, random_simple_xpath, reference_step_back
 from wrapsmith.dataset import from_record, to_record
 from wrapsmith.dom import measure, parse_html
-from wrapsmith.executor import extract
+from wrapsmith.executor import ExtractionStatus, extract
 from wrapsmith.gateway import JudgeMode
 from wrapsmith.generation import (
     GenerationTrace,
@@ -90,6 +90,18 @@ class TestProgressive:
             player_page, "height", gateway, progressive_cfg(d_max=2)
         )
         assert sequence is None
+        assert [s.decision for s in trace.steps] == ["retry", "retry"]
+
+    def test_too_deeply_nested_xpath_is_an_invalid_answer(self, player_page):
+        nested = "//p[" + "(" * 1000 + "1" + ")" * 1000 + "]"
+        gateway = make_gateway(lambda t, p: json_answer("6-9", nested))
+        sequence, trace = generate(
+            player_page, "height", gateway, progressive_cfg(d_max=2)
+        )
+        assert sequence is None
+        assert [s.parser_result.status for s in trace.steps] == [
+            ExtractionStatus.INVALID_XPATH
+        ] * 2
         assert [s.decision for s in trace.steps] == ["retry", "retry"]
 
     def test_malformed_output_fails_generation(self, player_page):

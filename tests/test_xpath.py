@@ -14,12 +14,25 @@ from oracles import (
     random_page_html,
     random_simple_xpath,
     reference_siblings,
+    render_xpath,
 )
 from wrapsmith import xpath as xpath_module
 from wrapsmith.dom import DocumentTree, ElementNode, TextNode, iter_nodes, parse_html
 from wrapsmith.executor import normalize_values
 from wrapsmith.xpath import (
+    FUNCTIONS,
+    AnyTest,
     AttributeValue,
+    BinOp,
+    FuncCall,
+    Literal,
+    NameTest,
+    NodeTestAny,
+    Number,
+    Path,
+    Step,
+    TextTest,
+    UnionExpr,
     XPathSyntaxError,
     climb,
     evaluate,
@@ -243,6 +256,137 @@ class TestErrors:
     def test_empty_selection_is_empty_list(self):
         tree = tree_of("<div><p>a</p></div>")
         assert evaluate(tree, "//*[@class='nonexistent']") == []
+
+
+ANY_DESCENDANT = Step("descendant-or-self", NodeTestAny())
+
+
+def child(name, *predicates):
+    return Step("child", NameTest(name), predicates)
+
+
+def relative(*steps):
+    return Path(False, steps)
+
+
+class TestParser:
+    @pytest.mark.parametrize(
+        "expression, paths",
+        [
+            ("//a", (Path(True, (ANY_DESCENDANT, child("a"))),)),
+            ("a//b/c", (relative(child("a"), ANY_DESCENDANT, child("b"), child("c")),)),
+            ("/", (Path(True, ()),)),
+            ("/ | //*", (Path(True, ()), Path(True, (ANY_DESCENDANT, Step("child", AnyTest()))))),
+            ("../.", (relative(Step("parent", NodeTestAny()), Step("self", NodeTestAny())),)),
+            ("@class", (relative(Step("attribute", NameTest("class"))),)),
+            ("following-sibling :: text()",
+             (relative(Step("following-sibling", TextTest())),)),
+        ],
+    )
+    def test_paths(self, expression, paths):
+        assert parse_xpath(expression) == UnionExpr(paths)
+
+    @pytest.mark.parametrize(
+        "predicate, expected",
+        [
+            # 'and' binds tighter than 'or', a comparison tighter than 'and'.
+            ("a or b and c = 'x'",
+             BinOp("or", relative(child("a")),
+                   BinOp("and", relative(child("b")), BinOp("=", relative(child("c")), Literal("x"))))),
+            ("(a or b) and 1", BinOp("and", BinOp("or", relative(child("a")), relative(child("b"))),
+                                     Number(1.0))),
+            ("a and b and c", BinOp("and", BinOp("and", relative(child("a")), relative(child("b"))),
+                                    relative(child("c")))),
+            # A bare 'and' in operand position is a name test.
+            ("and and or", BinOp("and", relative(child("and")), relative(child("or")))),
+            ("contains(., \"it's\")",
+             FuncCall("contains", (relative(Step("self", NodeTestAny())), Literal("it's")))),
+            ("string() != 2.5", BinOp("!=", FuncCall("string", ()), Number(2.5))),
+            ("text", relative(child("text"))),
+        ],
+    )
+    def test_predicates(self, predicate, expected):
+        (path,) = parse_xpath(f"p[{predicate}]").paths
+        assert path == relative(child("p", expected))
+
+    @pytest.mark.parametrize(
+        "expression",
+        ["p[a = b = c]", "p[a and]", "p[count()]", "p[string(a, b)]", "p[f(a)]", "bogus::p",
+         "child::child::p", "@child::p", "p[a,]", "p[(a]", "p | ", "p/", "comment()", "p[1.]"],
+    )
+    def test_rejected(self, expression):
+        with pytest.raises(XPathSyntaxError):
+            parse_xpath(expression)
+
+
+def _functions(children):
+    def call(name):
+        arity = FUNCTIONS[name]
+        sizes = st.integers(0, 1) if arity < 0 else st.just(arity)
+        return sizes.flatmap(
+            lambda n: st.lists(children, min_size=n, max_size=n)
+        ).map(lambda args: FuncCall(name, tuple(args)))
+
+    return st.sampled_from(sorted(FUNCTIONS)).flatmap(call)
+
+
+def _paths(predicates):
+    """Paths whose steps draw their predicate tuples from ``predicates``."""
+    names = st.from_regex(r"[a-zA-Z_][a-zA-Z0-9_.-]{0,5}", fullmatch=True)
+    tests = st.one_of(names.map(NameTest), st.sampled_from([AnyTest(), TextTest(), NodeTestAny()]))
+    step = st.builds(
+        Step,
+        st.sampled_from(sorted(xpath_module._AXES)),
+        tests,
+        predicates,
+    )
+    return st.one_of(
+        st.just(Path(True, ())),
+        st.builds(Path, st.booleans(), st.lists(step, min_size=1, max_size=3).map(tuple)),
+    )
+
+
+_SCALARS = st.one_of(
+    st.text("ab' \"]|/:", max_size=6).filter(lambda v: not ("'" in v and '"' in v)).map(Literal),
+    st.integers(0, 10**6).map(lambda n: Number(n / 100)),
+)
+_EXPRESSIONS = st.recursive(
+    st.one_of(_SCALARS, _paths(st.just(()))),
+    lambda children: st.one_of(
+        _functions(children),
+        st.builds(BinOp, st.sampled_from(["or", "and", "=", "!=", "<", "<=", ">", ">="]),
+                  children, children),
+        _paths(st.lists(children, max_size=2).map(tuple)),
+    ),
+    max_leaves=12,
+)
+_UNIONS = st.lists(_paths(st.lists(_EXPRESSIONS, max_size=2).map(tuple)), min_size=1, max_size=3).map(
+    lambda paths: UnionExpr(tuple(paths))
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_UNIONS)
+def test_parse_reads_back_the_unparsed_ast(ast):
+    assert parse_xpath(render_xpath(ast)) == ast
+
+
+_VOCABULARY = [
+    "/", "//", "..", ".", "@", "*", "[", "]", "(", ")", "|", ",", "=", "!=", "<", "<=", ">",
+    ">=", " and ", " or ", "and", "child::", "attribute ::", "bogus::", "p", "a.b", "text",
+    "node", "contains", "count", "string", "not", "last", "'a'", '"b"', "1", "2.5", " ",
+    "text()", "$", "'",
+]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.sampled_from(_VOCABULARY), max_size=12).map("".join))
+def test_token_soup_parses_or_raises_a_syntax_error(expression):
+    try:
+        ast = parse_xpath(expression)
+    except XPathSyntaxError:
+        return
+    assert parse_xpath(render_xpath(ast)) == ast
 
 
 class TestOracleEquivalence:
