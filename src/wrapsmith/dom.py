@@ -21,6 +21,7 @@ stack, so no nesting depth reaches the interpreter's recursion limit;
 from __future__ import annotations
 
 import html as _htmllib
+from bisect import bisect_left
 from dataclasses import dataclass
 from html.parser import HTMLParser
 from typing import Iterator, Optional, Union
@@ -126,17 +127,24 @@ class DocumentTree:
     the node of order 0). Its nodes never change, so it renders once and
     every caller of :meth:`to_html` and :func:`measure` shares that.
 
+    ``tags`` is the page's tag index: each tag maps to its elements and
+    their orders, two lists in document order. A node's descendants hold
+    the orders from its own plus one up to its last descendant's, so
+    :meth:`descendants` bisects the index for them. Views share their
+    page's ``parents`` and ``tags``, as they share its nodes.
+
     The tree is also XPath's document node: the parent of its root, which
     sorts before every node of the page. A view is its own document node.
     """
 
-    __slots__ = ("root", "source_id", "parents", "_rendered")
+    __slots__ = ("root", "source_id", "parents", "tags", "_rendered")
     order = -1
 
-    def __init__(self, root: ElementNode, source_id: str, parents: list) -> None:
+    def __init__(self, root: ElementNode, source_id: str, parents: list, tags: dict) -> None:
         self.root = root
         self.source_id = source_id
         self.parents = parents
+        self.tags = tags
         self._rendered: Optional[tuple[str, TreeMetrics]] = None
 
     @property
@@ -145,7 +153,7 @@ class DocumentTree:
 
     @classmethod
     def from_root(cls, root: ElementNode, source_id: str) -> "DocumentTree":
-        return cls(root, source_id, _freeze(root))
+        return cls(root, source_id, *_freeze(root))
 
     def to_html(self) -> str:
         return self._rendering()[0]
@@ -161,25 +169,44 @@ class DocumentTree:
     def text_content(self) -> str:
         return self.root.text_content()
 
+    def descendants(self, node, tag: str) -> list[ElementNode]:
+        """The ``tag`` elements below ``node``, in document order: a slice of
+        the tag index. ``node`` is a node of this tree, or the tree itself."""
+        entry = self.tags.get(tag)
+        if entry is None:
+            return []
+        elements, orders = entry
+        last = node
+        while last.children:
+            last = last.children[-1]
+        lo = bisect_left(orders, self.root.order if node is self else node.order + 1)
+        return elements[lo:bisect_left(orders, last.order + 1, lo)]
+
     def subtree(self, element: ElementNode) -> "DocumentTree":
         """A view rooted at ``element`` that shares this tree's nodes."""
-        return DocumentTree(element, self.source_id, self.parents)
+        return DocumentTree(element, self.source_id, self.parents, self.tags)
 
     def __repr__(self) -> str:
         return f"<DocumentTree {self.source_id!r} root={self.root.tag!r}>"
 
 
-def _freeze(root: ElementNode) -> list[Optional[ElementNode]]:
-    """Number the nodes in document order and return their parents table."""
+def _freeze(root: ElementNode) -> tuple[list[Optional[ElementNode]], dict]:
+    """Number the nodes in document order; return their parents table and
+    the tag index (see :class:`DocumentTree`), both built in this one walk."""
     parents: list[Optional[ElementNode]] = []
+    tags: dict[str, tuple[list[ElementNode], list[int]]] = {}
     stack: list[tuple[Node, Optional[ElementNode]]] = [(root, None)]
     while stack:
         node, parent = stack.pop()
-        node.order = len(parents)
+        node.order = order = len(parents)
         parents.append(parent)
+        if isinstance(node, ElementNode):
+            elements, orders = tags.setdefault(node.tag, ([], []))
+            elements.append(node)
+            orders.append(order)
         if node.children:
             stack.extend((child, node) for child in reversed(node.children))
-    return parents
+    return parents, tags
 
 
 def _open_tag(el: ElementNode) -> str:

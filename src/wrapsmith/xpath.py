@@ -25,22 +25,42 @@ sorted by ``order``, so a sibling step finds its node by bisection.
 Comparisons follow XPath 1.0 semantics: a node-set compares existentially
 against the other operand via node string-values.
 
-A step whose first predicate is a number, as in ``preceding-sibling::tr[1]``,
-stops scanning its axis at the k-th node that passes the node test (reverse
-axes count nearest first); a fractional or non-positive k selects nothing.
-Any further predicates see that single node. Other steps, including
-``[last()]`` and ``[position()=k]``, test every node on the axis.
+Each expression is compiled once into a :func:`plan` of closures, so no
+page pays for dispatch on the AST, which stays as the model wrote it. The
+plan alone rewrites and takes short cuts:
+
+- ``//T[p…]`` (``descendant-or-self::node()/child::T[p…]``) is planned as
+  ``descendant::T[p…]`` unless some ``p`` could depend on the context
+  position or size: a number, ``count()``, ``position()`` or ``last()`` at
+  its top level, or ``position()``/``last()`` outside a nested path.
+  ``//p[1]`` is not ``/descendant::p[1]`` (XPath 1.0 §2.5).
+- ``descendant::T`` is a slice of the page's tag index (see
+  :class:`~wrapsmith.dom.DocumentTree`), in document order already from one
+  context node, so it needs no set and no sort.
+- ``[@class='lit']`` compares ``class_attr``, the one class an element keeps.
+- A leading ``[k]``, as in ``preceding-sibling::tr[1]``, stops the axis scan
+  at the k-th match (reverse axes count nearest first) and later predicates
+  see that one node; a k that is not a positive integer, infinities and NaN
+  included, selects nothing.
+
+Every expression's type, and so each comparison's conversions, is known
+when it is compiled. Errors stay lazy: ``count()`` of a value that is not a
+node-set raises only when evaluated. Numbers become strings as XPath 1.0
+§4.2 says, ``Infinity`` and ``NaN`` included.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 import re
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
 from operator import attrgetter
-from typing import Iterable, Iterator, Optional, Union
+from typing import Callable, Iterable, Iterator, Optional, Union
 
 from .dom import KEEP_ATTR, DocumentTree, ElementNode, TextNode, iter_nodes
 
@@ -336,8 +356,9 @@ def parse_xpath(expression: str) -> UnionExpr:
     """Parse an expression to its AST; raises :class:`XPathSyntaxError`.
 
     An expression nested too deeply for Python's stack is a syntax error
-    too. The parser recurses deeper per level of nesting than the
-    evaluator, so no AST it returns is too deep to evaluate.
+    too. The parser recurses deeper per level of nesting than the plan
+    compiler and the plans it builds, so no AST it returns is too deep to
+    compile or evaluate.
     """
     if not expression or not expression.strip():
         raise XPathSyntaxError("empty expression")
@@ -348,10 +369,23 @@ def parse_xpath(expression: str) -> UnionExpr:
 
 
 # --------------------------------------------------------------------------
-# Evaluation
+# Plans: a compiled expression is a function of (node, position, size,
+# document), written ``n, p, s, d``; a path or step, of node(s) and document
 # --------------------------------------------------------------------------
 
 _order_key = attrgetter("order")
+
+#: The functions whose value is not a boolean.
+_FUNCTION_KINDS = {"position": float, "last": float, "count": float, "string": str}
+
+_RELATIONS = {"=": operator.eq, "!=": operator.ne, "<": operator.lt, "<=": operator.le,
+              ">": operator.gt, ">=": operator.ge}
+
+#: What ``[@class='lit']`` compares with its literal.
+_CLASS_ATTRIBUTE = Path(False, (Step("attribute", NameTest(KEEP_ATTR)),))
+
+#: The axes whose order runs against document order, nearest first.
+_REVERSE_AXES = frozenset({"ancestor", "ancestor-or-self", "preceding-sibling"})
 
 
 def string_value(node: XNode) -> str:
@@ -367,21 +401,11 @@ def _to_string(value) -> str:
         return string_value(value[0]) if value else ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        if value == int(value):
-            return str(int(value))
-        return repr(value)
+    if isinstance(value, float):  # XPath 1.0 §4.2
+        if not math.isfinite(value):
+            return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
+        return str(int(value)) if value.is_integer() else repr(value)
     return value
-
-
-def _to_bool(value) -> bool:
-    if isinstance(value, list):
-        return bool(value)
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, float):
-        return value != 0
-    return bool(value)
 
 
 def _to_number(value) -> float:
@@ -389,16 +413,6 @@ def _to_number(value) -> float:
         return float(_to_string(value) if isinstance(value, (list, bool)) else value)
     except (TypeError, ValueError):
         return float("nan")
-
-
-class _Context:
-    __slots__ = ("node", "position", "size", "document")
-
-    def __init__(self, node: XNode, position: int, size: int, document: DocumentTree) -> None:
-        self.node = node
-        self.position = position
-        self.size = size
-        self.document = document
 
 
 def _parent_of(node: XNode, document: DocumentTree) -> Optional[XNode]:
@@ -450,164 +464,210 @@ def _ancestors(node: XNode, or_self: bool, document: DocumentTree) -> Iterator[X
         cur = _parent_of(cur, document)
 
 
-def _test_matches(test: NodeTest, node: XNode, axis: str) -> bool:
-    if axis == "attribute":
-        if not isinstance(node, AttributeValue):
-            return False
-        if isinstance(test, NameTest):
-            return node.name == test.name.lower()
-        return isinstance(test, (AnyTest, NodeTestAny))
-    if isinstance(test, NameTest):
-        return isinstance(node, ElementNode) and node.tag == test.name.lower()
-    if isinstance(test, AnyTest):
-        return isinstance(node, ElementNode)
-    if isinstance(test, TextTest):
-        return isinstance(node, TextNode)
-    return not isinstance(node, AttributeValue)  # node(): any tree node
-
-
-def _evaluate_step(
-    nodes: list[XNode], step: Step, document: DocumentTree
-) -> list[XNode]:
-    gathered: set[XNode] = set()
-    predicates = step.predicates
-    nth = None
-    if predicates and isinstance(predicates[0], Number):
-        nth, predicates = predicates[0].value, predicates[1:]
-    for node in nodes:
-        if nth is None:
-            candidates = [
-                c for c in _axis_candidates(node, step.axis, document)
-                if _test_matches(step.test, c, step.axis)
-            ]
-        else:
-            candidates = _nth_candidate(node, step, nth, document)
-        for predicate in predicates:
-            size = len(candidates)
-            kept = []
-            for position, candidate in enumerate(candidates, start=1):
-                ctx = _Context(candidate, position, size, document)
-                if _predicate_holds(predicate, ctx):
-                    kept.append(candidate)
-            candidates = kept
-        gathered.update(candidates)
-    return sorted(gathered, key=_order_key)
-
-
-def _nth_candidate(
-    node: XNode, step: Step, nth: float, document: DocumentTree
-) -> list[XNode]:
-    """The ``[nth]`` node passing the step's test; the scan stops there."""
-    if nth < 1 or nth != int(nth):
-        return []
-    matches = (
-        c for c in _axis_candidates(node, step.axis, document)
-        if _test_matches(step.test, c, step.axis)
-    )
-    return list(islice(matches, int(nth) - 1, int(nth)))
-
-
-def _predicate_holds(expr: Expr, ctx: _Context) -> bool:
-    value = _evaluate_expr(expr, ctx)
-    if isinstance(value, float):
-        return ctx.position == value
-    return _to_bool(value)
-
-
-def _evaluate_expr(expr: Expr, ctx: _Context):
-    if isinstance(expr, Literal):
-        return expr.value
-    if isinstance(expr, Number):
-        return expr.value
-    if isinstance(expr, (Path, UnionExpr)):
-        return _evaluate_paths(expr, ctx)
+def _kind(expr: Expr) -> type:
+    """The type of ``expr``'s value, known before it is evaluated: ``list``
+    for a node-set, else ``str``, ``float`` or ``bool``."""
     if isinstance(expr, FuncCall):
-        return _evaluate_function(expr, ctx)
+        return _FUNCTION_KINDS.get(expr.name, bool)
+    return {Path: list, UnionExpr: list, Literal: str, Number: float}.get(type(expr), bool)
+
+
+def _uses_position(expr: Expr) -> bool:
+    """Does ``expr`` call ``position()`` or ``last()`` outside a nested path?"""
+    if isinstance(expr, FuncCall):
+        return expr.name in ("position", "last") or any(map(_uses_position, expr.args))
     if isinstance(expr, BinOp):
-        if expr.op == "and":
-            return _to_bool(_evaluate_expr(expr.left, ctx)) and _to_bool(
-                _evaluate_expr(expr.right, ctx)
-            )
-        if expr.op == "or":
-            return _to_bool(_evaluate_expr(expr.left, ctx)) or _to_bool(
-                _evaluate_expr(expr.right, ctx)
-            )
-        return _compare(expr.op, _evaluate_expr(expr.left, ctx), _evaluate_expr(expr.right, ctx))
-    raise XPathSyntaxError(f"cannot evaluate expression {expr!r}")
+        return _uses_position(expr.left) or _uses_position(expr.right)
+    return False
 
 
-def _compare(op: str, left, right) -> bool:
-    if isinstance(left, list) or isinstance(right, list):
-        if isinstance(left, list) and isinstance(right, list):
-            lvals = [string_value(n) for n in left]
-            rvals = [string_value(n) for n in right]
-            pairs = ((a, b) for a in lvals for b in rvals)
-        elif isinstance(left, list):
-            pairs = ((string_value(n), right) for n in left)
+def _rewritten(steps: tuple[Step, ...]) -> list[Step]:
+    """``steps`` with ``descendant-or-self::node()/child::T[p…]`` planned as
+    ``descendant::T[p…]``, unless some ``p`` could depend on the context
+    position or size: ``//p[1]`` is not ``/descendant::p[1]`` (XPath 1.0
+    §2.5)."""
+    planned: list[Step] = []
+    for step in steps:
+        if planned and planned[-1] == _ANY_DESCENDANT and step.axis == "child" and not any(
+            _kind(p) is float or _uses_position(p) for p in step.predicates
+        ):
+            planned[-1] = Step("descendant", step.test, step.predicates)
         else:
-            pairs = ((left, string_value(n)) for n in right)
-        return any(_compare_scalars(op, a, b) for a, b in pairs)
-    return _compare_scalars(op, left, right)
+            planned.append(step)
+    return planned
 
 
-def _compare_scalars(op: str, left, right) -> bool:
-    if op in ("=", "!="):
-        if isinstance(left, bool) or isinstance(right, bool):
-            result = _to_bool(left) == _to_bool(right)
-        elif isinstance(left, float) or isinstance(right, float):
-            result = _to_number(left) == _to_number(right)
-        else:
-            result = _to_string(left) == _to_string(right)
-        return result if op == "=" else not result
-    a, b = _to_number(left), _to_number(right)
-    if a != a or b != b:  # NaN never compares
-        return False
-    return {"<": a < b, "<=": a <= b, ">": a > b, ">=": a >= b}[op]
+def _candidates(axis: str, test: NodeTest) -> Callable[[XNode, DocumentTree], Iterable[XNode]]:
+    """The nodes on ``axis`` from a context node that pass ``test``, in axis
+    order. ``descendant::T`` is a slice of the document's tag index."""
+    match: Optional[Callable[[XNode], bool]] = None  # None: every node passes
+    if axis == "attribute":  # the axis yields the element's one attribute
+        if isinstance(test, TextTest) or isinstance(test, NameTest) and test.name.lower() != KEEP_ATTR:
+            return lambda node, document: ()
+    elif isinstance(test, NameTest):
+        name = test.name.lower()
+        if axis == "descendant":
+            return lambda node, document: document.descendants(node, name)
+        match = lambda node: isinstance(node, ElementNode) and node.tag == name
+    elif isinstance(test, AnyTest):
+        match = lambda node: isinstance(node, ElementNode)
+    elif isinstance(test, TextTest):
+        match = lambda node: isinstance(node, TextNode)
+    else:  # node(): any node but an attribute, which only a context node can be
+        match = lambda node: not isinstance(node, AttributeValue)
+    if match is None:
+        return lambda node, document: _axis_candidates(node, axis, document)
+    return lambda node, document: filter(match, _axis_candidates(node, axis, document))
 
 
-def _evaluate_function(expr: FuncCall, ctx: _Context):
-    name, args = expr.name, expr.args
-    if name == "contains":
-        needle = _to_string(_evaluate_expr(args[1], ctx))
-        return needle in _to_string(_evaluate_expr(args[0], ctx))
-    if name == "starts-with":
-        return _to_string(_evaluate_expr(args[0], ctx)).startswith(
-            _to_string(_evaluate_expr(args[1], ctx))
-        )
-    if name == "not":
-        return not _to_bool(_evaluate_expr(args[0], ctx))
-    if name == "position":
-        return float(ctx.position)
-    if name == "last":
-        return float(ctx.size)
-    if name == "count":
-        value = _evaluate_expr(args[0], ctx)
-        if not isinstance(value, list):
+def _compile_step(step: Step) -> Callable[[list[XNode], DocumentTree], list[XNode]]:
+    """``step`` as a function from a node-set to a node-set."""
+    candidates = _candidates(step.axis, step.test)
+    predicates = step.predicates
+    if predicates and isinstance(predicates[0], Number):
+        # A leading [k] stops the scan at the k-th match; a k that is not a
+        # positive integer, or is more than any axis holds, selects nothing.
+        k = predicates[0].value
+        if not (1 <= k <= sys.maxsize and k.is_integer()):
+            return lambda nodes, document: []
+        k, scan = int(k), candidates
+        candidates = lambda node, document: islice(scan(node, document), k - 1, k)
+        predicates = predicates[1:]
+    filters = [_compile_predicate(p) for p in predicates]
+    forward = step.axis not in _REVERSE_AXES
+
+    def select(node: XNode, document: DocumentTree) -> list[XNode]:
+        found = list(candidates(node, document))
+        for keep in filters:
+            size = len(found)
+            found = [c for i, c in enumerate(found, 1) if keep(c, i, size, document)]
+        return found
+
+    def run(nodes: list[XNode], document: DocumentTree) -> list[XNode]:
+        if len(nodes) == 1 and forward:  # in document order already: no set, no sort
+            return select(nodes[0], document)
+        gathered: set[XNode] = set()
+        for node in nodes:
+            gathered.update(select(node, document))
+        return sorted(gathered, key=_order_key)
+
+    return run
+
+
+def _compile_predicate(expr: Expr):
+    """A number tests the candidate's position (XPath 1.0 §2.4); any other
+    value is tested for truth by the caller."""
+    value = _compile_expr(expr)
+    if _kind(expr) is float:
+        return lambda n, p, s, d: value(n, p, s, d) == p
+    return value
+
+
+def _compile_expr(expr: Expr):
+    if isinstance(expr, (Literal, Number)):
+        constant = expr.value
+        return lambda n, p, s, d: constant
+    if isinstance(expr, (Path, UnionExpr)):
+        paths = tuple(map(_compile_path, expr.paths if isinstance(expr, UnionExpr) else (expr,)))
+        return lambda n, p, s, d: _union(paths, n, d)
+    if isinstance(expr, FuncCall):
+        return _compile_function(expr)
+    left, right = _compile_expr(expr.left), _compile_expr(expr.right)
+    if expr.op == "and":
+        return lambda n, p, s, d: bool(left(n, p, s, d) and right(n, p, s, d))
+    if expr.op == "or":
+        return lambda n, p, s, d: bool(left(n, p, s, d) or right(n, p, s, d))
+    return _compile_comparison(expr, left, right)
+
+
+def _compile_comparison(expr: BinOp, left, right):
+    """A comparison holds when it holds for some string-value of a node-set
+    operand (XPath 1.0 §3.4). Both sides become booleans when one is a
+    boolean, else numbers for an order or when one is a number, else they
+    are strings already."""
+    for attribute, literal in ((expr.left, expr.right), (expr.right, expr.left)):
+        if expr.op == "=" and attribute == _CLASS_ATTRIBUTE and isinstance(literal, Literal):
+            value = literal.value  # an element keeps one class, the one @class selects
+            return lambda n, p, s, d: getattr(n, "class_attr", None) == value
+    relation = _RELATIONS[expr.op]
+    left_nodes, right_nodes = _kind(expr.left) is list, _kind(expr.right) is list
+    scalars = {str if k is list else k for k in (_kind(expr.left), _kind(expr.right))}
+    if bool in scalars and expr.op in ("=", "!="):
+        convert = bool
+    elif float in scalars or expr.op not in ("=", "!="):
+        convert = _to_number
+    else:
+        convert = str
+
+    def compare(n, p, s, d):
+        a, b = left(n, p, s, d), right(n, p, s, d)
+        a = [convert(string_value(x)) for x in a] if left_nodes else (convert(a),)
+        b = [convert(string_value(y)) for y in b] if right_nodes else (convert(b),)
+        return any(relation(x, y) for x in a for y in b)
+
+    return compare
+
+
+def _compile_function(expr: FuncCall):
+    name = expr.name
+    if name == "count" and _kind(expr.args[0]) is not list:
+        def fail(n, p, s, d):  # only if evaluated: not in ``false() and count('x')``
             raise XPathSyntaxError("count() requires a node-set argument")
-        return float(len(value))
+        return fail
+    if name in ("true", "false"):
+        constant = name == "true"
+        return lambda n, p, s, d: constant
+    if name == "position":
+        return lambda n, p, s, d: float(p)
+    if name == "last":
+        return lambda n, p, s, d: float(s)
+    if name == "string" and not expr.args:
+        return lambda n, p, s, d: string_value(n)
+    a, *rest = map(_compile_expr, expr.args)
+    if name == "count":
+        return lambda n, p, s, d: float(len(a(n, p, s, d)))
     if name == "string":
-        if not args:
-            return string_value(ctx.node)
-        return _to_string(_evaluate_expr(args[0], ctx))
-    if name == "true":
-        return True
-    if name == "false":
-        return False
-    raise XPathSyntaxError(f"unknown function {name}()")
+        return lambda n, p, s, d: _to_string(a(n, p, s, d))
+    if name == "not":
+        return lambda n, p, s, d: not a(n, p, s, d)
+    (b,) = rest
+    if name == "contains":
+        return lambda n, p, s, d: _to_string(b(n, p, s, d)) in _to_string(a(n, p, s, d))
+    return lambda n, p, s, d: _to_string(a(n, p, s, d)).startswith(_to_string(b(n, p, s, d)))
 
 
-def _evaluate_paths(expr: Union[Path, UnionExpr], ctx: _Context) -> list[XNode]:
-    paths = expr.paths if isinstance(expr, UnionExpr) else (expr,)
-    merged: set[XNode] = set()
-    for path in paths:
-        start: XNode = ctx.document if path.absolute else ctx.node
-        nodes: list[XNode] = [start]
-        for step in path.steps:
-            nodes = _evaluate_step(nodes, step, ctx.document)
+def _compile_path(path: Path) -> Callable[[XNode, DocumentTree], list[XNode]]:
+    steps = [_compile_step(step) for step in _rewritten(path.steps)]
+    absolute = path.absolute
+
+    def run(node: XNode, document: DocumentTree) -> list[XNode]:
+        nodes = [document if absolute else node]
+        for step in steps:
+            nodes = step(nodes, document)
             if not nodes:
                 break
-        merged.update(nodes)
+        return nodes
+
+    return run
+
+
+def _union(paths, node: XNode, document: DocumentTree) -> list[XNode]:
+    """The nodes that ``paths`` select from ``node``, in document order."""
+    if len(paths) == 1:
+        return paths[0](node, document)
+    merged: set[XNode] = set()
+    for path in paths:
+        merged.update(path(node, document))
     return sorted(merged, key=_order_key)
+
+
+@lru_cache(maxsize=1024)
+def plan(expression: str) -> tuple[Callable[[XNode, DocumentTree], list[XNode]], ...]:
+    """Compile ``expression`` once: one function per branch of its union,
+    from a context node and the document to the nodes selected, in
+    document order. Raises :class:`XPathSyntaxError` as :func:`parse_xpath`
+    does."""
+    return tuple(map(_compile_path, parse_xpath(expression).paths))
 
 
 def evaluate(tree: DocumentTree, expression: str) -> list[XNode]:
@@ -616,11 +676,10 @@ def evaluate(tree: DocumentTree, expression: str) -> list[XNode]:
     Returns the selected nodes in document order without duplicates.
     Raises :class:`XPathSyntaxError` for expressions outside the dialect.
     """
-    ast = parse_xpath(expression)
-    return _evaluate_paths(ast, _Context(tree, 1, 1, tree))
+    return _union(plan(expression), tree, tree)
 
 
-_PARENT_STEP = Step("parent", NodeTestAny())
+_PARENTS = _compile_step(Step("parent", NodeTestAny()))
 
 
 def climb(tree: DocumentTree, expression: str) -> Iterator[Optional[XNode]]:
@@ -633,13 +692,11 @@ def climb(tree: DocumentTree, expression: str) -> Iterator[Optional[XNode]]:
     no node left, which is at most one step past the document node.
     Raises :class:`XPathSyntaxError` as :func:`evaluate` does.
     """
-    *fixed_paths, last = parse_xpath(expression + "/..").paths
-    ctx = _Context(tree, 1, 1, tree)
-    fixed = _evaluate_paths(UnionExpr(tuple(fixed_paths)), ctx)[:1]
-    nodes = _evaluate_paths(last, ctx)
+    *fixed_paths, last = plan(expression + "/..")
+    fixed = _union(fixed_paths, tree, tree)[:1]
+    nodes = last(tree, tree)
     while True:
         yield min(fixed + nodes[:1], key=_order_key, default=None)
         if not nodes:
             return
-        nodes = _evaluate_step(nodes, _PARENT_STEP, tree)
-
+        nodes = _PARENTS(nodes, tree)

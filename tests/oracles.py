@@ -33,6 +33,12 @@ The unparser :func:`render_xpath` writes an AST back as XPath text with no
 abbreviation: every step carries its axis and every binary operation its
 parentheses, so reading the text back needs none of the parser's shortcuts.
 
+The evaluation oracle is the XPath interpreter the package used before
+rules were compiled to plans, moved here unchanged: it walks the AST on
+every call, dispatching on node types, and expands ``//`` to a walk over
+every node. :func:`reference_evaluate` and :func:`reference_climb` stand
+for ``evaluate`` and ``climb``.
+
 The XPath oracle mirrors a document tree into ``xml.etree.ElementTree``
 (wrapped in a synthetic super-root so leading ``//`` behaves like the
 document node) and answers the same queries through ``findall``, a code
@@ -48,8 +54,12 @@ import json
 import random
 import re
 import xml.etree.ElementTree as ET
+from bisect import bisect_left
 from decimal import Decimal
 from html.parser import HTMLParser
+from itertools import islice
+from operator import attrgetter
+from typing import Iterable, Iterator, Optional, Union
 
 from wrapsmith.dom import (
     KEEP_ATTR,
@@ -65,6 +75,25 @@ from wrapsmith.dom import (
     measure,
 )
 from wrapsmith import xpath as xp
+from wrapsmith.xpath import (
+    AnyTest,
+    AttributeValue,
+    BinOp,
+    Expr,
+    FuncCall,
+    Literal,
+    NameTest,
+    NodeTest,
+    NodeTestAny,
+    Number,
+    Path,
+    Step,
+    TextTest,
+    UnionExpr,
+    XNode,
+    XPathSyntaxError,
+    parse_xpath,
+)
 from wrapsmith.executor import MAX_LITERAL_LEN, MIN_FRAGILE_DIGIT_RUN, prune
 from wrapsmith.gateway import JudgeMode, judge_contains
 
@@ -673,3 +702,301 @@ def reference_json_object(text: str):
                 break
         start = text.find("{", start + 1)
     return None, None
+
+
+# --------------------------------------------------------------------------
+# The XPath interpreter the package used before rules were compiled to plans
+# --------------------------------------------------------------------------
+
+_order_key = attrgetter("order")
+
+
+def string_value(node: XNode) -> str:
+    if isinstance(node, TextNode):
+        return node.text
+    if isinstance(node, AttributeValue):
+        return node.value
+    return node.text_content()
+
+
+def _to_string(value) -> str:
+    if isinstance(value, list):
+        return string_value(value[0]) if value else ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        if value == int(value):
+            return str(int(value))
+        return repr(value)
+    return value
+
+
+def _to_bool(value) -> bool:
+    if isinstance(value, list):
+        return bool(value)
+    if isinstance(value, bool):
+        return value
+    if isinstance(value, float):
+        return value != 0
+    return bool(value)
+
+
+def _to_number(value) -> float:
+    try:
+        return float(_to_string(value) if isinstance(value, (list, bool)) else value)
+    except (TypeError, ValueError):
+        return float("nan")
+
+
+class _Context:
+    __slots__ = ("node", "position", "size", "document")
+
+    def __init__(self, node: XNode, position: int, size: int, document: DocumentTree) -> None:
+        self.node = node
+        self.position = position
+        self.size = size
+        self.document = document
+
+
+def _parent_of(node: XNode, document: DocumentTree) -> Optional[XNode]:
+    if node is document:
+        return None
+    if node is document.root:  # a pruned view's root keeps its page parent
+        return document
+    if isinstance(node, AttributeValue):
+        return node.owner
+    return document.parents[node.order]
+
+
+def _axis_candidates(node: XNode, axis: str, document: DocumentTree) -> Iterable[XNode]:
+    """The nodes on ``axis`` from ``node``, in axis order, produced lazily."""
+    if axis == "child":
+        return node.children
+    if axis == "descendant":
+        return islice(iter_nodes(node), 1, None)
+    if axis == "descendant-or-self":
+        return iter_nodes(node)
+    if axis == "self":
+        return (node,)
+    if axis == "parent":
+        parent = _parent_of(node, document)
+        return (parent,) if parent is not None else ()
+    if axis in ("ancestor", "ancestor-or-self"):
+        return _ancestors(node, axis == "ancestor-or-self", document)
+    if axis in ("following-sibling", "preceding-sibling"):
+        parent = _parent_of(node, document)
+        if parent is None or isinstance(node, AttributeValue):
+            return ()
+        siblings = parent.children
+        idx = bisect_left(siblings, node.order, key=_order_key)
+        if axis == "following-sibling":
+            return map(siblings.__getitem__, range(idx + 1, len(siblings)))
+        return map(siblings.__getitem__, range(idx - 1, -1, -1))  # nearest first
+    if axis == "attribute":
+        if isinstance(node, ElementNode) and node.class_attr is not None:
+            return (AttributeValue(node),)
+        return ()
+    raise XPathSyntaxError(f"unsupported axis {axis!r}")
+
+
+def _ancestors(node: XNode, or_self: bool, document: DocumentTree) -> Iterator[XNode]:
+    """Nearest first: reverse axis order."""
+    cur = node if or_self else _parent_of(node, document)
+    while cur is not None:
+        yield cur
+        cur = _parent_of(cur, document)
+
+
+def _test_matches(test: NodeTest, node: XNode, axis: str) -> bool:
+    if axis == "attribute":
+        if not isinstance(node, AttributeValue):
+            return False
+        if isinstance(test, NameTest):
+            return node.name == test.name.lower()
+        return isinstance(test, (AnyTest, NodeTestAny))
+    if isinstance(test, NameTest):
+        return isinstance(node, ElementNode) and node.tag == test.name.lower()
+    if isinstance(test, AnyTest):
+        return isinstance(node, ElementNode)
+    if isinstance(test, TextTest):
+        return isinstance(node, TextNode)
+    return not isinstance(node, AttributeValue)  # node(): any tree node
+
+
+def _evaluate_step(
+    nodes: list[XNode], step: Step, document: DocumentTree
+) -> list[XNode]:
+    gathered: set[XNode] = set()
+    predicates = step.predicates
+    nth = None
+    if predicates and isinstance(predicates[0], Number):
+        nth, predicates = predicates[0].value, predicates[1:]
+    for node in nodes:
+        if nth is None:
+            candidates = [
+                c for c in _axis_candidates(node, step.axis, document)
+                if _test_matches(step.test, c, step.axis)
+            ]
+        else:
+            candidates = _nth_candidate(node, step, nth, document)
+        for predicate in predicates:
+            size = len(candidates)
+            kept = []
+            for position, candidate in enumerate(candidates, start=1):
+                ctx = _Context(candidate, position, size, document)
+                if _predicate_holds(predicate, ctx):
+                    kept.append(candidate)
+            candidates = kept
+        gathered.update(candidates)
+    return sorted(gathered, key=_order_key)
+
+
+def _nth_candidate(
+    node: XNode, step: Step, nth: float, document: DocumentTree
+) -> list[XNode]:
+    """The ``[nth]`` node passing the step's test; the scan stops there."""
+    if nth < 1 or nth != int(nth):
+        return []
+    matches = (
+        c for c in _axis_candidates(node, step.axis, document)
+        if _test_matches(step.test, c, step.axis)
+    )
+    return list(islice(matches, int(nth) - 1, int(nth)))
+
+
+def _predicate_holds(expr: Expr, ctx: _Context) -> bool:
+    value = _evaluate_expr(expr, ctx)
+    if isinstance(value, float):
+        return ctx.position == value
+    return _to_bool(value)
+
+
+def _evaluate_expr(expr: Expr, ctx: _Context):
+    if isinstance(expr, Literal):
+        return expr.value
+    if isinstance(expr, Number):
+        return expr.value
+    if isinstance(expr, (Path, UnionExpr)):
+        return _evaluate_paths(expr, ctx)
+    if isinstance(expr, FuncCall):
+        return _evaluate_function(expr, ctx)
+    if isinstance(expr, BinOp):
+        if expr.op == "and":
+            return _to_bool(_evaluate_expr(expr.left, ctx)) and _to_bool(
+                _evaluate_expr(expr.right, ctx)
+            )
+        if expr.op == "or":
+            return _to_bool(_evaluate_expr(expr.left, ctx)) or _to_bool(
+                _evaluate_expr(expr.right, ctx)
+            )
+        return _compare(expr.op, _evaluate_expr(expr.left, ctx), _evaluate_expr(expr.right, ctx))
+    raise XPathSyntaxError(f"cannot evaluate expression {expr!r}")
+
+
+def _compare(op: str, left, right) -> bool:
+    if isinstance(left, list) or isinstance(right, list):
+        if isinstance(left, list) and isinstance(right, list):
+            lvals = [string_value(n) for n in left]
+            rvals = [string_value(n) for n in right]
+            pairs = ((a, b) for a in lvals for b in rvals)
+        elif isinstance(left, list):
+            pairs = ((string_value(n), right) for n in left)
+        else:
+            pairs = ((left, string_value(n)) for n in right)
+        return any(_compare_scalars(op, a, b) for a, b in pairs)
+    return _compare_scalars(op, left, right)
+
+
+def _compare_scalars(op: str, left, right) -> bool:
+    if op in ("=", "!="):
+        if isinstance(left, bool) or isinstance(right, bool):
+            result = _to_bool(left) == _to_bool(right)
+        elif isinstance(left, float) or isinstance(right, float):
+            result = _to_number(left) == _to_number(right)
+        else:
+            result = _to_string(left) == _to_string(right)
+        return result if op == "=" else not result
+    a, b = _to_number(left), _to_number(right)
+    if a != a or b != b:  # NaN never compares
+        return False
+    return {"<": a < b, "<=": a <= b, ">": a > b, ">=": a >= b}[op]
+
+
+def _evaluate_function(expr: FuncCall, ctx: _Context):
+    name, args = expr.name, expr.args
+    if name == "contains":
+        needle = _to_string(_evaluate_expr(args[1], ctx))
+        return needle in _to_string(_evaluate_expr(args[0], ctx))
+    if name == "starts-with":
+        return _to_string(_evaluate_expr(args[0], ctx)).startswith(
+            _to_string(_evaluate_expr(args[1], ctx))
+        )
+    if name == "not":
+        return not _to_bool(_evaluate_expr(args[0], ctx))
+    if name == "position":
+        return float(ctx.position)
+    if name == "last":
+        return float(ctx.size)
+    if name == "count":
+        value = _evaluate_expr(args[0], ctx)
+        if not isinstance(value, list):
+            raise XPathSyntaxError("count() requires a node-set argument")
+        return float(len(value))
+    if name == "string":
+        if not args:
+            return string_value(ctx.node)
+        return _to_string(_evaluate_expr(args[0], ctx))
+    if name == "true":
+        return True
+    if name == "false":
+        return False
+    raise XPathSyntaxError(f"unknown function {name}()")
+
+
+def _evaluate_paths(expr: Union[Path, UnionExpr], ctx: _Context) -> list[XNode]:
+    paths = expr.paths if isinstance(expr, UnionExpr) else (expr,)
+    merged: set[XNode] = set()
+    for path in paths:
+        start: XNode = ctx.document if path.absolute else ctx.node
+        nodes: list[XNode] = [start]
+        for step in path.steps:
+            nodes = _evaluate_step(nodes, step, ctx.document)
+            if not nodes:
+                break
+        merged.update(nodes)
+    return sorted(merged, key=_order_key)
+
+
+def reference_evaluate(tree: DocumentTree, expression: str) -> list[XNode]:
+    """Evaluate ``expression`` against ``tree`` from the document node.
+
+    Returns the selected nodes in document order without duplicates.
+    Raises :class:`XPathSyntaxError` for expressions outside the dialect.
+    """
+    ast = parse_xpath(expression)
+    return _evaluate_paths(ast, _Context(tree, 1, 1, tree))
+
+
+_PARENT_STEP = Step("parent", NodeTestAny())
+
+
+def reference_climb(tree: DocumentTree, expression: str) -> Iterator[Optional[XNode]]:
+    """Yield the first node of ``expression/..``, then ``expression/../..``, ...
+
+    Appending ``/..`` extends only the last branch of a union, so the other
+    branches are evaluated once and held fixed, and each climb maps the last
+    branch's node set to its parents; nothing is evaluated again. ``None``
+    stands for an empty selection. The climb ends once the last branch has
+    no node left, which is at most one step past the document node.
+    Raises :class:`XPathSyntaxError` as :func:`reference_evaluate` does.
+    """
+    *fixed_paths, last = parse_xpath(expression + "/..").paths
+    ctx = _Context(tree, 1, 1, tree)
+    fixed = _evaluate_paths(UnionExpr(tuple(fixed_paths)), ctx)[:1]
+    nodes = _evaluate_paths(last, ctx)
+    while True:
+        yield min(fixed + nodes[:1], key=_order_key, default=None)
+        if not nodes:
+            return
+        nodes = _evaluate_step(nodes, _PARENT_STEP, tree)
+

@@ -873,6 +873,26 @@ class TestDeepNesting:
         assert run_cli("replay", "--trace", gen / "traces" / f"{case.case_id}__p1.json") == 0
 
 
+class TestHugeNumberInARule:
+    # A literal of 309 nines is more than a float holds, so it reads as inf.
+    @pytest.mark.parametrize("rule", [
+        f"//b[{'9' * 309}]/text()", f"//b[contains(., {'9' * 309})]/text()",
+        f"//b[string({'9' * 309})]/text()",
+    ], ids=["position", "contains", "string"])
+    def test_generate_exits_0(self, tmp_path, monkeypatch, synthetic_corpus, rule):
+        _, cases, case = write_case(tmp_path, ["p1", "p2", "p3"], html="<div><b>v</b></div>")
+        gateway = make_gateway(lambda template, prompt: json_answer("v", rule))
+        monkeypatch.setattr(cli, "LlmGateway", lambda config: gateway)
+        gen, seq, results = tmp_path / "gen", tmp_path / "seq", tmp_path / "results"
+        assert run_cli("generate", "--cases", cases, "--backend", synthetic_corpus.backend_path,
+                       "--out", gen) == 0
+        if "string" in rule:  # 'Infinity' is a true predicate: the rule works
+            assert run_cli("synthesize", "--candidates", gen, "--out", seq) == 0
+            assert run_cli("run", "--sequences", seq, "--cases", cases, "--out", results) == 0
+            pages = json.loads((results / f"{case.case_id}.json").read_text())["pages"]
+            assert {page["values"][0] for page in pages.values()} == {"v"}
+
+
 class TestCountFlags:
     @pytest.mark.parametrize("command, flag, value", [
         ("prepare", "--sample", "0"),

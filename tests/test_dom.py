@@ -209,6 +209,34 @@ class TestSubtree:
             assert id(node) in source_ids  # shared, not copied
 
 
+class TestTagIndex:
+    def test_a_view_shares_its_pages_index(self):
+        page = parse_html("<div><p>a</p><p>b<b>c</b></p></div>", "t")
+        view = page.subtree(child_elements(page.root)[1])
+        assert view.tags is page.tags and view.subtree(view.root).tags is page.tags
+        assert [e.tag for e in page.tags["p"][0]] == ["p", "p"]
+        assert view.descendants(view, "p") == [view.root]
+        assert view.descendants(view, "b") == page.descendants(view.root, "b")
+        assert page.descendants(page, "table") == []
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_slices_match_a_filtered_scan(self, seed):
+        # 3 x 60 random messy pages, whole and as views: every tag below
+        # every node (text nodes too) and below the document node.
+        rng = random.Random(seed)
+        for index in range(60):
+            page = parse_html(oracles.random_messy_page_html(rng), f"index-{index}")
+            below_root = elements(page.root)[1:]
+            views = [page.subtree(e) for e in rng.sample(below_root, min(2, len(below_root)))]
+            for tree in [page, *views]:
+                tags = {e.tag for e in elements(tree.root)} | {"table"}
+                for node in [tree, *iter_nodes(tree.root)]:
+                    below = list(iter_nodes(node))[1:] if node is not tree else elements(tree.root)
+                    for tag in tags:
+                        expected = [n for n in below if isinstance(n, ElementNode) and n.tag == tag]
+                        assert tree.descendants(node, tag) == expected, (tree, node, tag)
+
+
 def test_normalize_escapes():
     assert normalize_escapes("a &amp; b") == "a & b"
     assert normalize_escapes("6&#45;9") == "6-9"

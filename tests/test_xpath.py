@@ -11,8 +11,11 @@ from oracles import (
     et_findall,
     mirror_etree,
     positional_xpath,
+    random_literal_step,
     random_page_html,
     random_simple_xpath,
+    reference_climb,
+    reference_evaluate,
     reference_siblings,
     render_xpath,
 )
@@ -229,14 +232,23 @@ class TestLeadingPosition:
         assert self.values(SPEC_TABLE, "//tr[3]/td[3][@class='x']") == ["c3"]
 
     def test_last_and_position_stay_on_the_general_path(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("short-circuit taken")
+        # On a view of the third row, ``/tr`` scans one node, then the row's
+        # ``th, td, td, td``: all four, or up to the second ``td`` for [2].
+        scanned = []
+        original = xpath_module._axis_candidates
 
-        monkeypatch.setattr(xpath_module, "_nth_candidate", refuse)
-        assert self.values(SPEC_TABLE, "//tr[th='C']/td[last()]") == ["c3"]
-        assert self.values(SPEC_TABLE, "//tr[th='C']/td[position()=2]") == ["c2"]
-        with pytest.raises(AssertionError, match="short-circuit"):
-            self.values(SPEC_TABLE, "//tr[th='C']/td[2]")
+        def counting(node, axis, document):
+            for candidate in original(node, axis, document):
+                scanned.append(candidate)
+                yield candidate
+
+        monkeypatch.setattr(xpath_module, "_axis_candidates", counting)
+        tree = tree_of(SPEC_TABLE)
+        row = tree.subtree(tree.root.children[2])
+        for predicate, value, count in [("last()", "c3", 5), ("position()=2", "c2", 5), ("2", "c2", 4)]:
+            scanned.clear()
+            assert [string_value(n) for n in evaluate(row, f"/tr/td[{predicate}]")] == [value]
+            assert len(scanned) == count, predicate
 
 
 class TestErrors:
@@ -545,3 +557,101 @@ def test_pruned_views_evaluate_like_copies():
     differences, evaluations = _view_differences(random.Random(9), pages=140, per_page=8)
     assert evaluations >= 30_000
     assert differences == []
+
+
+# Forms the ``//T`` rewrite must leave alone or get right: positions and
+# sizes at a predicate's top level or inside a function, a nested path's
+# own positions, non-element tests, and ``//`` from text and attributes.
+PLAN_FORMS = [
+    "//li[2]", "//*[last()]", "//p[count(b)]", "//p[position()=1]", "//p[not(position()=1)]",
+    "//text()[1]", "//@class", "//..", "//div//span[1]", "//div//span", "//div//span/..",
+    "//text()//b", "//@class//b", "//p/text()//b", "//*[@class]//b", "//p[.//b]",
+    "//*[@class='']", "//*['' = @class]", "//p[@class='a'][1]", "//p[1][@class='a']",
+    "//div[b[1]]", "//div[b[last()]]", "//div[string(last())='1']", "//b[position()]",
+    "//node()", "//node()[2]", "//*[2]/@class", "//div//*[2]", "//ul[li][2]", "//a//text()[2]",
+    "//*[count(../*)=2]", "//@*", "//text()", "/descendant::p[2]", "/descendant::*[last()]",
+    "//p | //p[1]", "//span/..//b", "//*[../b]", "//*[ancestor::div][1]", "//p[starts-with(., 'a')]",
+    "//li[@class='x y']/following-sibling::*[1]", "//*[@CLASS='a']", "//*[@class=1]",
+    "//b[. = ../b]", "//div[b = true()]", "//div[count(b) > 1]", "//*[last() > 1 and @class]",
+]
+
+
+def _plan_differences(rng, pages):
+    """Evaluate and climb with plans and with the reference interpreter on
+    random pages and views; return the mismatches and the number of
+    (tree, expression) pairs compared."""
+
+    def outcome(function, tree, expression):
+        try:
+            return [
+                ("@", id(n.owner)) if isinstance(n, AttributeValue) else id(n)
+                for n in function(tree, expression)
+            ]
+        except XPathSyntaxError:
+            return "XPathSyntaxError"
+
+    def climbed(climb_function):
+        return lambda tree, expression: list(climb_function(tree, expression))
+
+    differences, compared = [], 0
+    for index in range(pages):
+        page = parse_html(random_page_html(rng), f"plan-{index}")
+        below_root = elements(page.root)[1:]
+        views = [page.subtree(e) for e in rng.sample(below_root, min(2, len(below_root)))]
+        expressions = PLAN_FORMS + [random_simple_xpath(rng) for _ in range(10)]
+        expressions += [random_literal_step(rng) for _ in range(25)]
+        for tree in [page, *views]:
+            for expression in expressions:
+                compared += 1
+                for mine, reference in ((evaluate, reference_evaluate),
+                                        (climbed(climb), climbed(reference_climb))):
+                    if outcome(mine, tree, expression) != outcome(reference, tree, expression):
+                        differences.append((page.source_id, tree.root.tag, expression))
+    return differences, compared
+
+
+def test_plans_select_what_the_interpreter_did():
+    # Node identity against the interpreter that plans replaced, on whole
+    # pages and on views, for evaluate and climb alike.
+    differences, compared = _plan_differences(random.Random(26), pages=130)
+    assert compared >= 30_000
+    assert differences == []
+
+
+class TestLazyErrors:
+    TREE = "<div><p>a</p><p>b</p></div>"
+
+    def test_count_of_a_string_raises_only_when_evaluated(self):
+        tree = tree_of(self.TREE)
+        assert evaluate(tree, "//p[false() and count('x')]") == []
+        assert [string_value(n) for n in evaluate(tree, "//p[true() or count('x')]")] == ["a", "b"]
+        assert evaluate(tree, "//b[count('x')]") == []  # no candidate, no evaluation
+        with pytest.raises(XPathSyntaxError, match="node-set"):
+            evaluate(tree, "//p[true() and count('x')]")
+
+
+HUGE = "9" * 309  # more than a float holds: the literal reads as inf
+
+
+class TestNonFiniteNumbers:
+    @pytest.mark.parametrize("expression", [
+        f"//p[{HUGE}]", f"//p[@class][{HUGE}]", f"//div/p[{HUGE}]", f"//p[contains(., {HUGE})]",
+        f"//p[string({HUGE}) = 'x']", f"//p[. = {HUGE}]", f"//p[{'1' * 309}]",
+    ])
+    def test_select_nothing(self, expression):
+        tree = tree_of("<div><p class='c'>a</p><p>1</p></div>")
+        assert evaluate(tree, expression) == []
+
+    def test_infinity_as_a_string(self):
+        tree = tree_of("<div><p>Infinity</p><p>1</p></div>")
+        assert [string_value(n) for n in evaluate(tree, f"//p[string({HUGE}) = .]")] == ["Infinity"]
+        assert [string_value(n) for n in evaluate(tree, f"//p[contains('-Infinity!', string({HUGE}))]")] == [
+            "Infinity", "1",
+        ]
+
+    @pytest.mark.parametrize("value, text", [
+        (float("inf"), "Infinity"), (float("-inf"), "-Infinity"), (float("nan"), "NaN"),
+        (3.0, "3"), (2.5, "2.5"), (-0.0, "0"),
+    ])
+    def test_number_to_string(self, value, text):
+        assert xpath_module._to_string(value) == text
